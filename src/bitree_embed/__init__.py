@@ -1,6 +1,8 @@
 """Weighted embedding constants, small-energy majorants and extremal
 families on finite dyadic bi-trees."""
 
+from types import ModuleType as _ModuleType
+
 from .trees import (
     BiTreeTopology,
     DownSet,
@@ -71,4 +73,5 @@ from .scenarios import SweepReport, run_scenario, sweep
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, obj in globals().items()
+           if not name.startswith("_") and not isinstance(obj, _ModuleType)]

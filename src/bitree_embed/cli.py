@@ -132,7 +132,7 @@ def _cmd_counterexample(args) -> int:
     out: dict = {"schema": "bitree-embed/1", "command": "counterexample", "name": args.name, "N": n}
     if args.name == "simple":
         mu, w = cx.gen_simple_car_not_rec(n)
-        her = hereditary_constant(mu, w, method="exact_enum")
+        her = hereditary_constant(mu, w)
         car = carleson_constant(mu, w)
         out.update(hereditary=float(her.value), carleson=float(car.value),
                    expected_hereditary=n + 1,

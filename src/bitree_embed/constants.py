@@ -22,8 +22,6 @@ from .maxflow import dinkelbach_max_ratio
 from .operators import MassFunction, WeightFunction, energy_density, hardy_adjoint, hardy_forward
 from .trees import BiTreeTopology, down_closure, enumerate_down_sets
 
-HEREDITARY_ENUM_CAP = 22
-
 # reference envelopes for the hereditary-to-Carleson ratio under product
 # weights; recorded next to empirical maxima, never asserted
 HC_OVER_C_REFERENCE_ENVELOPES = (13.0, 32.0)
@@ -215,126 +213,43 @@ def lca_kernel(topo: BiTreeTopology, nodes: list[tuple[int, int]], w: WeightFunc
     return k
 
 
-def hereditary_constant(
-    mu: MassFunction,
-    w: WeightFunction,
-    method: str = "exact_enum",
-    seed: int = 0,
-    restarts: int = 8,
-) -> ConstantReport:
+def hereditary_constant(mu: MassFunction, w: WeightFunction) -> ConstantReport:
+    """max over subsets S of supp mu of m_S^T K m_S / m(S), K the LCA kernel.
+
+    Solved exactly as a selection problem (Picard 1976) by the closure ratio
+    engine: one item per support point i (numerator 0, denominator m_i) and
+    one per pair i <= j (numerator (2 - delta_ij) K_ij m_i m_j, denominator 0)
+    that forces both points.  All numerators are >= 0, so the best closure
+    over a point set S takes every pair inside S and its ratio is exactly the
+    restricted energy over the restricted mass.
+    """
     topo = mu.topo
-    supp = [(int(a), int(b)) for a, b in zip(*np.nonzero(np.asarray(mu.values != 0)))]
+    idx = np.nonzero(np.asarray(mu.values != 0))
+    supp = [(int(a), int(b)) for a, b in zip(*idx)]
     if not supp:
         return ConstantReport("HereditaryCarleson", 0.0, None, True, {"note": "zero mass"})
     n = len(supp)
-    masses = np.array([mu.values[s] for s in supp], dtype=object if _is_exact(mu.values) else np.float64)
+    masses = mu.values[idx]
     kernel = lca_kernel(topo, supp, w)
+    iu, ju = np.triu_indices(n)
+    pair_numer = np.where(iu == ju, 1, 2) * kernel[iu, ju] * masses[iu] * masses[ju]
+    numer = [0] * n + pair_numer.tolist()
+    denom = masses.tolist() + [0] * len(iu)
+    successors = [()] * n + list(zip(iu.tolist(), ju.tolist()))
 
-    if method == "exact_enum":
-        if n > HEREDITARY_ENUM_CAP:
-            raise ValueError(
-                f"exact enumeration capped at support size {HEREDITARY_ENUM_CAP}, got {n}"
-            )
-        if kernel.dtype == object or masses.dtype == object:
-            value, bits = _hereditary_enum_exact(kernel, masses)
-        else:
-            value, bits = _hereditary_enum_vectorized(kernel, masses)
-        mask = np.zeros(topo.shape, dtype=bool)
-        for i in range(n):
-            if bits >> i & 1:
-                mask[supp[i]] = True
-        return ConstantReport(
-            "HereditaryCarleson", value,
-            {"type": "subset", "mask": mask, "topo": topo}, True,
-            {"method": method, "support": n},
-        )
-    if method != "local_search":
-        raise ValueError(f"unknown method {method!r}")
-    value, flags = _hereditary_local_search(kernel, masses.astype(np.float64), seed, restarts)
+    exact = _is_exact(mu.values) or _is_exact(w.values)
+    value, members, iters = dinkelbach_max_ratio(
+        numer, denom, successors, tol=0 if exact else 1e-12
+    )
     mask = np.zeros(topo.shape, dtype=bool)
     for i in range(n):
-        if flags[i]:
+        if members[i]:
             mask[supp[i]] = True
     return ConstantReport(
         "HereditaryCarleson", value,
-        {"type": "subset", "mask": mask, "topo": topo}, False,
-        {"method": method, "support": n, "restarts": restarts},
+        {"type": "subset", "mask": mask, "topo": topo}, True,
+        {"iterations": iters, "support": n},
     )
-
-
-def _hereditary_enum_vectorized(kernel: np.ndarray, masses: np.ndarray, chunk: int = 1 << 15):
-    n = len(masses)
-    best, best_bits = -1.0, 0
-    ar = np.arange(n)
-    for start in range(1, 1 << n, chunk):
-        ids = np.arange(start, min(start + chunk, 1 << n), dtype=np.int64)
-        bits = (ids[:, None] >> ar[None, :]) & 1
-        x = bits * masses[None, :]
-        num = np.einsum("si,ij,sj->s", x, kernel, x)
-        den = x.sum(axis=1)
-        ok = den > 0
-        if not ok.any():
-            continue
-        r = np.where(ok, num, 0.0) / np.where(ok, den, 1.0)
-        i = int(np.argmax(r))
-        if r[i] > best:
-            best, best_bits = float(r[i]), int(ids[i])
-    return best, best_bits
-
-
-def _hereditary_enum_exact(kernel: np.ndarray, masses: np.ndarray):
-    n = len(masses)
-    best, best_bits = None, 0
-    for bits in range(1, 1 << n):
-        members = [i for i in range(n) if bits >> i & 1]
-        den = sum(masses[i] for i in members)
-        if den == 0:
-            continue
-        num = sum(masses[i] * masses[j] * kernel[i, j] for i in members for j in members)
-        r = _ratio(num, den)
-        if best is None or r > best:
-            best, best_bits = r, bits
-    return best, best_bits
-
-
-def _hereditary_local_search(kernel, masses, seed, restarts):
-    n = len(masses)
-    rng = np.random.default_rng(seed)
-
-    def ratio(flags):
-        x = flags * masses
-        den = x.sum()
-        return -1.0 if den <= 0 else float(x @ kernel @ x) / den
-
-    def climb(flags):
-        cur = ratio(flags)
-        improved = True
-        while improved:
-            improved = False
-            for i in rng.permutation(n):
-                flags[i] ^= True
-                r = ratio(flags)
-                if r > cur + 1e-15:
-                    cur = r
-                    improved = True
-                else:
-                    flags[i] ^= True
-        return cur, flags
-
-    seeds = [np.ones(n, dtype=bool)]
-    diag = masses * np.diag(kernel)
-    for i in np.argsort(-diag)[: min(4, n)]:
-        s = np.zeros(n, dtype=bool)
-        s[i] = True
-        seeds.append(s)
-    for _ in range(restarts):
-        seeds.append(rng.random(n) < 0.5)
-    best, best_flags = -1.0, None
-    for s in seeds:
-        r, flags = climb(s.copy())
-        if r > best:
-            best, best_flags = r, flags.copy()
-    return best, best_flags
 
 
 # ---------------------------------------------------------------------------
@@ -481,21 +396,15 @@ def _chain_leq(a: float, b: float, slack: float) -> bool:
 
 
 def verify_chain(mu: MassFunction, w: WeightFunction, slack: float = 1e-9) -> ChainReport:
-    supp = int(np.count_nonzero(np.asarray(mu.values != 0)))
     box = box_constant(mu, w)
     car = carleson_constant(mu, w)
-    if supp <= HEREDITARY_ENUM_CAP:
-        her = hereditary_constant(mu, w, method="exact_enum")
-    else:
-        her = hereditary_constant(mu, w, method="local_search")
+    her = hereditary_constant(mu, w)
     emb = embedding_constant(mu, w)
 
     vals = [float(box.value), float(car.value), float(her.value), float(emb.value)]
     names = ["Box", "Carleson", "HereditaryCarleson", "CarlesonEmbedding"]
     violations = []
     for i in range(3):
-        # an uncertified hereditary value is only a lower bound; both of its
-        # chain comparisons stay informative but may not certify
         if not _chain_leq(vals[i], vals[i + 1], slack):
             violations.append(f"{names[i]}={vals[i]} > {names[i+1]}={vals[i+1]}")
 

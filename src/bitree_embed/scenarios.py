@@ -31,7 +31,7 @@ from .constants import (
 from .instances import random_instance
 from .maximal import maximal_equivalence_probe
 from .operators import MassFunction, WeightFunction, energy
-from .trees import build_bitree
+from .trees import SizeError, build_bitree
 
 SCHEMA_VERSION = "bitree-embed/1"
 
@@ -156,7 +156,7 @@ def build_instance(instance_spec: dict) -> dict:
             try:
                 mu, w = fam.dense()
                 out.update(mu=mu, w=w)
-            except Exception:
+            except SizeError:
                 out.update(mu=None, w=None)
             return out
         if name == "sum_of_products":
@@ -210,8 +210,7 @@ def _task_carleson(inst, params):
 
 def _task_hereditary(inst, params):
     mu, w = _need_dense(inst)
-    return hereditary_constant(mu, w, method=params.get("method", "exact_enum"),
-                               seed=params.get("seed", 0)).to_json()
+    return hereditary_constant(mu, w).to_json()
 
 
 def _task_embedding(inst, params):
@@ -361,8 +360,6 @@ def _cell_chain_ratios(n: int, seed: int) -> list:
         rep = verify_chain(mu, w)
         for key in best:
             r = rep.ratios.get(key)
-            if key == "hc_over_c" and not rep.hereditary.certified:
-                continue
             if r is not None and r > best[key][0]:
                 best[key] = (r, f"seed={s}")
     for key, (val, wit) in best.items():
@@ -375,7 +372,7 @@ def _cell_car_vs_rec(n: int, seed: int) -> list:
     rows = []
     if n <= 10:  # the unit-atom family only materializes densely
         mu, w = cx.gen_simple_car_not_rec(n)
-        her = hereditary_constant(mu, w, method="exact_enum")
+        her = hereditary_constant(mu, w)
         car = carleson_constant(mu, w)
         rows.append(_row("car_vs_rec", "simple", n, "hereditary", her.value, seed=seed))
         rows.append(_row("car_vs_rec", "simple", n, "carleson", car.value, seed=seed))

@@ -299,8 +299,8 @@ def iter_ideal_bitmasks(children_of: Sequence[Sequence[int]]) -> Iterator[int]:
 
     ``children_of[i]`` lists the covers of node ``i`` from below; a set is an
     ideal iff membership of ``i`` forces membership of all its covers.  Nodes
-    must be enumerable minimal-first: every cover index must be < its parent's
-    index is NOT required, recursion checks membership directly.
+    may be numbered in any order; they are visited minimal-first, so every
+    cover is decided before the nodes above it.
     """
     n = len(children_of)
     # process nodes minimal-first so covers are decided before their parents

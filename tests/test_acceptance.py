@@ -100,7 +100,7 @@ def test_criterion_1_and_2_oracle_equivalence_and_chain():
         worst["embedding"] = max(worst["embedding"], gap)
         assert gap <= 1e-8, f"criterion 1 FAIL: embedding gap {gap} at seed {seed}"
 
-        hc = float(hereditary_constant(mu, w, method="exact_enum").value)
+        hc = float(hereditary_constant(mu, w).value)
         hc_ref = brute_hereditary(mu, w)
         gap = abs(hc - hc_ref) / max(1.0, hc_ref)
         worst["hereditary"] = max(worst["hereditary"], gap)
@@ -401,7 +401,8 @@ def test_criterion_8_product_weight_envelope():
             continue
         w = random_weight(topo, rng, "product")
         rep = verify_chain(mu, w)
-        if rep.hereditary.certified and rep.ratios["hc_over_c"] is not None:
+        assert rep.hereditary.certified
+        if rep.ratios["hc_over_c"] is not None:
             hc_over_c_max = max(hc_over_c_max, rep.ratios["hc_over_c"])
     _report(8, f"{total} instances, max embedding/box = {overall:.4f}, "
                f"sign test +{pos}/-{neg} p={p_value:.3f}; recorded hereditary/carleson "

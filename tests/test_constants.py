@@ -24,7 +24,13 @@ from bitree_embed.operators import (
     hardy_forward,
 )
 from bitree_embed.trees import build_bitree
-from _oracles import brute_box, brute_carleson, brute_hereditary, dense_embedding_eig
+from _oracles import (
+    brute_box,
+    brute_carleson,
+    brute_hereditary,
+    dense_embedding_eig,
+    kernel_hereditary,
+)
 
 
 def test_depth_zero_all_constants_coincide():
@@ -119,7 +125,7 @@ def test_hereditary_enum_matches_definitional(seed):
     if not (0 < supp <= 12):
         mu = random_mass(topo, rng, "boundary_atoms")
     w = random_weight(topo, rng, "general")
-    got = hereditary_constant(mu, w, method="exact_enum").value
+    got = hereditary_constant(mu, w).value
     want = brute_hereditary(mu, w)
     assert abs(got - want) <= 1e-9 * max(1.0, want)
 
@@ -138,16 +144,40 @@ def test_hereditary_witness_and_full_support_bound():
         assert abs(ratio - float(rep.value)) <= 1e-9 * max(1.0, ratio)
 
 
-def test_hereditary_local_search_close_to_exact():
+def test_hereditary_certified_and_equal_to_brute():
     for seed in range(6):
         _, mu, w = small_oracle_instance(seed)
         if float(mu.total_mass) == 0:
             continue
-        exact = hereditary_constant(mu, w, method="exact_enum")
-        ls = hereditary_constant(mu, w, method="local_search", seed=seed)
-        assert not ls.certified
-        assert float(ls.value) >= 0.99 * float(exact.value) - 1e-12
-        assert float(ls.value) <= float(exact.value) + 1e-9
+        rep = hereditary_constant(mu, w)
+        assert rep.certified
+        want = brute_hereditary(mu, w)
+        assert abs(float(rep.value) - want) <= 1e-9 * max(1.0, want)
+
+
+def _chain_sweep_seed(support: int) -> int:
+    """First seed of the chain_ratios_product_w sweep at N=3 with this support."""
+    for s in range(3000, 4000):
+        mu = random_mass(build_bitree(3, 3), np.random.default_rng(s), "boundary_atoms")
+        if np.count_nonzero(mu.values) == support:
+            return s
+    raise AssertionError(f"no sweep seed with support {support}")
+
+
+@pytest.mark.parametrize("support", range(15, 21))
+def test_hereditary_matches_kernel_enumeration_beyond_brute(support):
+    rng = np.random.default_rng(_chain_sweep_seed(support))
+    topo = build_bitree(3, 3)
+    mu = random_mass(topo, rng, "boundary_atoms")
+    w = random_weight(topo, rng, "product")
+    rep = hereditary_constant(mu, w)
+    assert rep.certified
+    assert rep.diagnostics["support"] == support
+    want = kernel_hereditary(mu, w)
+    assert abs(float(rep.value) - want) <= 1e-12 * want
+    restricted = mu.restrict(rep.witness["mask"])
+    ratio = float(energy_density(restricted, w).sum()) / float(restricted.total_mass)
+    assert abs(ratio - float(rep.value)) <= 1e-12 * ratio
 
 
 @pytest.mark.parametrize("seed", range(10))

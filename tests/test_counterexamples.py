@@ -77,6 +77,17 @@ def test_simple_family_carleson_exact(n):
     assert num / den == rep.value
 
 
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_simple_family_hereditary_exact(n):
+    mu, w = gen_simple_car_not_rec(n, exact=True)
+    rep = hereditary_constant(mu, w)
+    assert isinstance(rep.value, Fraction)
+    assert rep.value == n + 1
+    assert rep.certified
+    leaf = 1 << n
+    assert rep.witness["mask"][leaf, leaf]
+
+
 def test_simple_family_hand_n1():
     # two unit atoms, weight on the root and the corner cell; the best
     # restriction and the best down-set both take everything: (4+1)/2
@@ -389,8 +400,7 @@ def test_sum_of_products_single_rectangle_reduces_to_product():
     from bitree_embed.constants import verify_chain
 
     rep = verify_chain(mu, wprod)
-    if not rep.hereditary.certified:
-        rep.ratios.pop("hc_over_c")
+    assert rep.hereditary.certified
     assert rep.ok
 
 

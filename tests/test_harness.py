@@ -1,13 +1,19 @@
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
+from types import ModuleType
 
 import pytest
 
+import bitree_embed
 from bitree_embed.cli import main
+from bitree_embed.counterexamples import CornerFamily
 from bitree_embed.scenarios import (
     ScenarioError,
     SweepReport,
+    build_instance,
     render_report,
     run_scenario,
     sweep,
@@ -90,6 +96,27 @@ def test_corner_witness_on_upset_family():
     res = report["tasks"][0]["result"]
     assert res["hereditary_witness_ratio"] == pytest.approx(5.00390625)
     assert res["m_count"] == 7
+
+
+def test_upset_instance_beyond_dense_cap_is_structured_only():
+    inst = build_instance({"builtin": {"name": "upset_car_not_rec", "depth": 1024}})
+    assert inst["mu"] is None and inst["w"] is None
+    assert inst["family"].depth == 1024
+
+
+def test_upset_instance_propagates_other_dense_errors(monkeypatch):
+    def broken(self, *args, **kwargs):
+        raise ValueError("broken dense build")
+
+    monkeypatch.setattr(CornerFamily, "dense", broken)
+    with pytest.raises(ValueError, match="broken dense build"):
+        build_instance({"builtin": {"name": "upset_car_not_rec", "depth": 4}})
+
+
+def test_package_exports_no_submodules():
+    assert not [name for name in bitree_embed.__all__
+                if isinstance(getattr(bitree_embed, name), ModuleType)]
+    assert "hereditary_constant" in bitree_embed.__all__
 
 
 def test_explicit_instance_chain():
@@ -262,6 +289,28 @@ def test_cli_out_file_and_outdir(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert code == 0
     assert (tmp_path / "rows.csv").read_text().startswith("experiment,")
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("bitree-embed ")]
+
+
+def test_readme_commands_exit_zero(tmp_path, monkeypatch, capsys):
+    commands = _readme_commands()
+    assert len(commands) >= 8
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("BITREE_EMBED_OUTDIR", str(tmp_path))
+    (tmp_path / "scenario.json").write_text(json.dumps(scenario(
+        {"random": {"depth": [3, 3], "seed": 0, "weight": "product"}},
+        [{"op": op} for op in ("box_constant", "carleson_constant", "hereditary_constant",
+                                "embedding_constant", "verify_chain")],
+    )))
+    for argv in commands:
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+    assert json.loads((tmp_path / "report.json").read_text())["tasks"][2]["result"]["certified"]
 
 
 def test_cli_subprocess_entrypoint():
