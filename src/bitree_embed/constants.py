@@ -2,7 +2,8 @@
 
 * box: worst energy-to-mass ratio over principal down-sets (single node).
 * carleson: worst ratio over arbitrary down-sets, solved exactly by ratio
-  iteration over maximum-weight closures (one min-cut per round).
+  iteration over maximum-weight closures (one min-cut per round) on the
+  cover edges of the nodes with mass below them.
 * hereditary: worst full-energy-to-mass ratio over restrictions of the mass
   to subsets of its support.
 * embedding: squared operator norm of the weighted adjoint embedding, i.e.
@@ -20,7 +21,7 @@ import numpy as np
 
 from .maxflow import dinkelbach_max_ratio
 from .operators import MassFunction, WeightFunction, energy_density, hardy_adjoint, hardy_forward
-from .trees import BiTreeTopology, down_closure, enumerate_down_sets
+from .trees import BiTreeTopology, bitree_cover_lists, down_closure, enumerate_down_sets
 
 # reference envelopes for the hereditary-to-Carleson ratio under product
 # weights; recorded next to empirical maxima, never asserted
@@ -118,21 +119,6 @@ def box_constant(mu: MassFunction, w: WeightFunction) -> ConstantReport:
 # carleson
 # ---------------------------------------------------------------------------
 
-def _vector_leq_matrix(topo: BiTreeTopology, nodes: list[tuple[int, int]]) -> np.ndarray:
-    """LEQ[i, j] = node_i <= node_j in the product order."""
-    ix = np.array([n[0] for n in nodes], dtype=np.int64)
-    iy = np.array([n[1] for n in nodes], dtype=np.int64)
-
-    def axis_leq(idx):
-        g = np.floor(np.log2(idx.astype(np.float64))).astype(np.int64)
-        d = g[:, None] - g[None, :]
-        ok = d >= 0
-        shifted = idx[:, None] >> np.where(ok, d, 0)
-        return ok & (shifted == idx[None, :])
-
-    return axis_leq(ix) & axis_leq(iy)
-
-
 def carleson_constant(
     mu: MassFunction,
     w: WeightFunction,
@@ -147,32 +133,30 @@ def carleson_constant(
     if method != "exact_mincut":
         raise ValueError(f"unknown method {method!r}")
 
+    # closure graph: the up-set of nodes with mass below them, with cover
+    # edges to the children inside it; the covers of an up-set generate its
+    # order, and the nodes outside carry neither energy nor mass
     e = energy_density(mu, w)
-    relevant_mask = np.asarray(e != 0) | np.asarray(mu.values != 0)
-    relevant_mask[0, :] = False
-    relevant_mask[:, 0] = False
-    nodes = [(int(a), int(b)) for a, b in zip(*np.nonzero(relevant_mask))]
+    nodes, successors = bitree_cover_lists(topo, np.asarray(hardy_adjoint(topo, mu.values) > 0))
     numer = [e[n] for n in nodes]
     denom = [mu.values[n] for n in nodes]
-    leq = _vector_leq_matrix(topo, nodes)
-    np.fill_diagonal(leq, False)
-    successors = [list(np.nonzero(leq[:, i])[0]) for i in range(len(nodes))]
 
     exact = _is_exact(mu.values) or _is_exact(w.values)
     lam, members, iters = dinkelbach_max_ratio(
         numer, denom, successors, tol=0 if exact else tol
     )
+    # the witness is generated by the chosen nodes that carry energy or mass
+    relevant = np.asarray(e != 0) | np.asarray(mu.values != 0)
     sel = np.zeros(topo.shape, dtype=bool)
-    for i, node in enumerate(nodes):
-        if members[i]:
-            sel[node] = True
-    witness_mask = down_closure(topo, sel)
+    for node, member in zip(nodes, members):
+        sel[node] = member
+    witness_mask = down_closure(topo, sel & relevant)
     return ConstantReport(
         "Carleson",
         lam,
         {"type": "downset", "mask": witness_mask, "topo": topo},
         True,
-        {"iterations": iters, "method": method, "relevant_nodes": len(nodes)},
+        {"iterations": iters, "method": method, "relevant_nodes": int(np.count_nonzero(relevant))},
     )
 
 

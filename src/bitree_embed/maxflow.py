@@ -2,8 +2,9 @@
 
 The flow solver is a plain Dinic implementation over adjacency lists.  It is
 exact for ``Fraction``/int capacities, which is what certifies the Carleson
-witnesses in rational mode; graphs here are tiny (hundreds of nodes) after
-restriction to nodes carrying energy or mass.
+witnesses in rational mode.  The Carleson graphs are the cover edges (at most
+four per node) on the ancestors of the mass support: about 3.6k nodes at
+depth (5,5) and 235k at depth (8,8).
 """
 
 from __future__ import annotations

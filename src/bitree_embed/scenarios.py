@@ -238,6 +238,8 @@ def _task_corner_witness(inst, params):
     fam = inst.get("family")
     if fam is None:
         raise ScenarioError("task needs a structured corner family")
+    if not fam.corner_atom:
+        raise ScenarioError(f"corner witness needs a corner atom; the {fam.kind} family has none")
     ratio = fam.restricted_energy_at_corner_cell() / fam.corner_atom
     return {
         "hereditary_witness_ratio": float(ratio),

@@ -348,11 +348,15 @@ def _minimal_first_order(children_of: Sequence[Sequence[int]]) -> list[int]:
     return order
 
 
-def bitree_cover_lists(topo: BiTreeTopology) -> tuple[list[tuple[int, int]], list[list[int]]]:
-    """Flat node list plus per-node cover-from-below indices into that list."""
-    nodes = list(topo.nodes())
+def bitree_cover_lists(
+    topo: BiTreeTopology, mask: np.ndarray
+) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """Masked nodes in row-major order plus, per node, the indices of its
+    covers from below that are masked too.  On an up-set these covers
+    generate the whole order restricted to the set."""
+    nodes = [(int(a), int(b)) for a, b in zip(*np.nonzero(mask))]
     pos = {node: i for i, node in enumerate(nodes)}
-    children = [[pos[c] for c in topo.children(node)] for node in nodes]
+    children = [[pos[c] for c in topo.children(node) if c in pos] for node in nodes]
     return nodes, children
 
 
@@ -363,7 +367,7 @@ def enumerate_down_sets(topo: BiTreeTopology) -> Iterator[np.ndarray]:
             f"down-set enumeration capped at {ENUMERATION_CAP} bi-nodes, "
             f"instance has {topo.node_count}"
         )
-    nodes, children = bitree_cover_lists(topo)
+    nodes, children = bitree_cover_lists(topo, topo.valid_mask())
     for bits in iter_ideal_bitmasks(children):
         mask = np.zeros(topo.shape, dtype=bool)
         for i, node in enumerate(nodes):

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from bitree_embed.maxflow import dinkelbach_max_ratio
 from bitree_embed.operators import MassFunction, energy_density
-from bitree_embed.trees import BiTreeTopology
+from bitree_embed.trees import BiTreeTopology, down_closure, up_closure
 
 
 def brute_forward(topo: BiTreeTopology, vals: np.ndarray) -> np.ndarray:
@@ -67,6 +68,36 @@ def brute_carleson(mu, w):
         if md > 0:
             best = max(best, sum(e[n] for n in members) / md)
     return best
+
+
+def transitive_carleson(mu, w):
+    """Carleson constant as a closure over the nodes carrying energy or mass,
+    with an edge from every node to each of its strict descendants.
+
+    Returns (value, witness mask, node count); the witness is the down-closure
+    of the chosen nodes.  Reaches depth (4,4) in about a second."""
+    topo = mu.topo
+    e = energy_density(mu, w)
+    relevant = np.asarray(e != 0) | np.asarray(mu.values != 0)
+    nodes = [(int(a), int(b)) for a, b in zip(*np.nonzero(relevant))]
+    pos = {node: i for i, node in enumerate(nodes)}
+    successors = [[] for _ in nodes]
+    for j, node in enumerate(nodes):
+        single = topo.zeros(dtype=bool)
+        single[node] = True
+        for a, b in zip(*np.nonzero(up_closure(topo, single) & relevant)):
+            i = pos[(int(a), int(b))]
+            if i != j:
+                successors[i].append(j)
+    exact = mu.values.dtype == object or w.values.dtype == object
+    value, members, _ = dinkelbach_max_ratio(
+        [e[n] for n in nodes], [mu.values[n] for n in nodes], successors,
+        tol=0 if exact else 1e-12,
+    )
+    sel = topo.zeros(dtype=bool)
+    for node, member in zip(nodes, members):
+        sel[node] = member
+    return value, down_closure(topo, sel), len(nodes)
 
 
 def brute_hereditary(mu, w):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,15 @@ from bitree_embed.constants import (
     sawyer_conditions,
     verify_chain,
 )
-from bitree_embed.instances import random_mass, random_weight, small_oracle_instance
+from bitree_embed.counterexamples import gen_simple_car_not_rec
+from bitree_embed.instances import (
+    MASS_KINDS,
+    WEIGHT_KINDS,
+    random_instance,
+    random_mass,
+    random_weight,
+    small_oracle_instance,
+)
 from bitree_embed.operators import (
     MassFunction,
     WeightFunction,
@@ -23,13 +32,14 @@ from bitree_embed.operators import (
     hardy_adjoint,
     hardy_forward,
 )
-from bitree_embed.trees import build_bitree
+from bitree_embed.trees import build_bitree, is_down_mask
 from _oracles import (
     brute_box,
     brute_carleson,
     brute_hereditary,
     dense_embedding_eig,
     kernel_hereditary,
+    transitive_carleson,
 )
 
 
@@ -96,6 +106,49 @@ def test_carleson_witness_reproduces_value():
         assert md > 0
         ratio = energy_downset(mu, w, mask) / md
         assert abs(ratio - float(rep.value)) <= 1e-9 * max(1.0, ratio)
+
+
+def _transitive_carleson_cases():
+    for depth in [(2, 2), (3, 2), (3, 3)]:
+        for mass_kind in MASS_KINDS:
+            for weight_kind in WEIGHT_KINDS:
+                yield random_instance(*depth, 0, mass_kind, weight_kind)[1:]
+    for seed, weight_kind in enumerate(WEIGHT_KINDS):
+        yield random_instance(4, 4, seed, "boundary", weight_kind)[1:]
+    for n in (2, 3, 4, 6):
+        yield gen_simple_car_not_rec(n, exact=True)
+
+
+def test_carleson_matches_transitive_formulation():
+    """Cover edges on the up-set with mass below give the same closure as
+    edges between every comparable pair of nodes carrying energy or mass."""
+    for mu, w in _transitive_carleson_cases():
+        rep = carleson_constant(mu, w)
+        value, mask, relevant = transitive_carleson(mu, w)
+        assert rep.value == value
+        assert np.array_equal(rep.witness["mask"], mask)
+        assert rep.diagnostics["relevant_nodes"] == relevant
+
+
+def test_carleson_depth_5_memory_and_depth_6_witness():
+    _, mu, w = random_instance(5, 5, 0, "boundary", "product")
+    tracemalloc.start()
+    try:
+        carleson_constant(mu, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+    _, mu, w = random_instance(6, 6, 0, "boundary", "product")
+    rep = carleson_constant(mu, w)
+    mask = rep.witness["mask"]
+    assert is_down_mask(mu.topo, mask)
+    ratio = energy_downset(mu, w, mask) / (mu.values * mask).sum()
+    assert abs(ratio - rep.value) <= 1e-12 * rep.value
+    # here the optimal down-set is the whole bi-tree, whose ratio the two
+    # solvers sum in different orders
+    assert rep.value >= box_constant(mu, w).value * (1 - 1e-12)
 
 
 def test_box_witness_reproduces_value():

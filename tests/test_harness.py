@@ -83,8 +83,10 @@ def test_structured_only_instance_rejects_dense_tasks():
     )
     report = run_scenario(spec)
     assert "error" in report["tasks"][0]
-    # witness task works on the structured family but needs the corner atom
-    assert "error" in report["tasks"][1] or "result" in report["tasks"][1]
+    # the witness task works on structured families but this one has no
+    # corner atom to divide by
+    assert report["tasks"][1]["error"].startswith("ScenarioError: ")
+    assert "corner atom" in report["tasks"][1]["error"]
 
 
 def test_corner_witness_on_upset_family():
