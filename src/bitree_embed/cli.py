@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error, 2 assertion/verification failure,
-3 solver failure.
+3 solver failure.  ``constants`` reports failed tasks inside its report and
+exits 1 when every failure is a usage-type error (bad scenario input: a
+``ValueError`` such as ``ScenarioError``, ``SizeError`` or
+``ParameterError``), 3 when any task failed otherwise.
 """
 
 from __future__ import annotations
@@ -83,9 +86,9 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_constants(args) -> int:
+    errors: list = []
     if args.scenario:
         spec = load_scenario(args.scenario)
-        report = run_scenario(spec)
     else:
         spec = {
             "schema": "bitree-embed/1",
@@ -99,11 +102,15 @@ def _cmd_constants(args) -> int:
                 {"op": "verify_chain"},
             ],
         }
-        report = run_scenario(spec)
+    report = run_scenario(spec, errors)
     sys.stdout.write(write_report(report, args.out, args.format))
-    if any("error" in t for t in report["tasks"]):
-        return EXIT_SOLVER
-    return EXIT_OK
+    if not errors:
+        return EXIT_OK
+    # bad input (the same errors main() maps to exit 1) only when no task
+    # failed for another reason
+    if all(isinstance(exc, ValueError) for exc in errors):
+        return EXIT_USAGE
+    return EXIT_SOLVER
 
 
 def _cmd_verify(args) -> int:

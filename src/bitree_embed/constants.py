@@ -21,7 +21,7 @@ import numpy as np
 
 from .maxflow import dinkelbach_max_ratio
 from .operators import MassFunction, WeightFunction, energy_density, hardy_adjoint, hardy_forward
-from .trees import BiTreeTopology, bitree_cover_lists, down_closure, enumerate_down_sets
+from .trees import BiTreeTopology, bitree_cover_lists, down_closure, enumerate_down_sets, heap_lca
 
 # reference envelopes for the hereditary-to-Carleson ratio under product
 # weights; recorded next to empirical maxima, never asserted
@@ -188,13 +188,8 @@ def _carleson_brute(mu: MassFunction, w: WeightFunction) -> ConstantReport:
 def lca_kernel(topo: BiTreeTopology, nodes: list[tuple[int, int]], w: WeightFunction) -> np.ndarray:
     """K[i, j] = ancestor-sum of w at the least common ancestor of the nodes."""
     iw = hardy_forward(topo, w.values)
-    n = len(nodes)
-    k = np.empty((n, n), dtype=iw.dtype)
-    for i in range(n):
-        for j in range(i, n):
-            a = topo.lca(nodes[i], nodes[j])
-            k[i, j] = k[j, i] = iw[a]
-    return k
+    ix, iy = np.array(nodes, dtype=np.int64).reshape(-1, 2).T
+    return iw[heap_lca(ix[:, None], ix), heap_lca(iy[:, None], iy)]
 
 
 def hereditary_constant(mu: MassFunction, w: WeightFunction) -> ConstantReport:
@@ -253,12 +248,19 @@ def embedding_constant(
     if len(supp[0]) == 0:
         return ConstantReport("CarlesonEmbedding", 0.0, None, True, {"note": "zero mass"})
     sqrtm = np.sqrt(mv[supp])
+    # one grid serves every matvec: the sweeps run in place on it and the
+    # support is scattered to and gathered from its flat view
+    grid = np.empty(topo.shape)
+    flat_grid = grid.reshape(-1)
+    flat_supp = np.ravel_multi_index(supp, topo.shape)
 
     def matvec(x: np.ndarray) -> np.ndarray:
-        phi = np.zeros(topo.shape)
-        phi[supp] = x * sqrtm
-        y = hardy_forward(topo, wv * hardy_adjoint(topo, phi))
-        return sqrtm * y[supp]
+        grid.fill(0.0)
+        flat_grid[flat_supp] = x * sqrtm
+        hardy_adjoint(topo, grid, out=grid)
+        np.multiply(grid, wv, out=grid)
+        hardy_forward(topo, grid, out=grid)
+        return sqrtm * flat_grid[flat_supp]
 
     x = sqrtm / np.linalg.norm(sqrtm)
     theta = 0.0

@@ -3,6 +3,16 @@ truncations, and the energy functionals built from them.
 
 All operators accept float64 arrays and, for exact certification at oracle
 scale, object-dtype arrays holding ints or ``fractions.Fraction``.
+
+The per-axis sweeps work in place, one tree level at a time, on strided
+slices of the grid (a transposed view for the second axis), and allocate no
+per-level copies beyond the children pair sums of the descendant sweep.
+``tree_*_sum`` copy their input once; ``hardy_forward``/``hardy_adjoint`` do
+too unless given ``out=``, a grid (possibly the input itself) that receives
+the result in place, so a caller that repeats them, such as the power
+iteration of ``embedding_constant``, reuses one buffer.  Each element sees
+the same additions in the same order either way, so results are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -19,36 +29,68 @@ from .trees import BiTreeTopology, TreeTopology, UpSet, is_up_mask
 # per-axis sweeps
 # ---------------------------------------------------------------------------
 
+def _ancestor_sweep(v: np.ndarray, depth: int) -> None:
+    """In place along axis 0 of v: add each parent row into its two children,
+    top level first, so every node ends up with its ancestors-or-equal sum."""
+    for j in range(1, depth + 1):
+        lo = 1 << j
+        parents = v[lo >> 1 : lo]
+        v[lo : 2 * lo : 2] += parents
+        v[lo + 1 : 2 * lo : 2] += parents
+
+
+def _descendant_sweep(v: np.ndarray, depth: int) -> None:
+    """In place along axis 0 of v: add each pair of children into their
+    parent, bottom level first, so every node ends up with its
+    descendants-or-equal sum."""
+    for j in range(depth - 1, -1, -1):
+        lo = 1 << j
+        v[lo : 2 * lo] += v[2 * lo : 4 * lo : 2] + v[2 * lo + 1 : 4 * lo : 2]
+
+
+def _start(values: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    if out is None:
+        return values.copy()
+    if out is not values:
+        np.copyto(out, values)
+    return out
+
+
 def tree_ancestor_sum(values: np.ndarray, tree: TreeTopology, axis: int = 0) -> np.ndarray:
     """out[i] = sum of values over ancestors-or-equal of i, along one axis."""
     out = values.copy()
-    v = out if axis == 0 else out.T
-    for j in range(1, tree.depth + 1):
-        lo = 1 << j
-        v[lo : 2 * lo] += np.repeat(v[lo >> 1 : lo], 2, axis=0)
+    _ancestor_sweep(out if axis == 0 else out.T, tree.depth)
     return out
 
 
 def tree_descendant_sum(values: np.ndarray, tree: TreeTopology, axis: int = 0) -> np.ndarray:
     """out[i] = sum of values over descendants-or-equal of i, along one axis."""
     out = values.copy()
-    v = out if axis == 0 else out.T
-    for j in range(tree.depth - 1, -1, -1):
-        lo = 1 << j
-        v[lo : 2 * lo] += v[2 * lo : 4 * lo : 2] + v[2 * lo + 1 : 4 * lo : 2]
+    _descendant_sweep(out if axis == 0 else out.T, tree.depth)
     return out
 
 
-def hardy_forward(topo: BiTreeTopology, values: np.ndarray) -> np.ndarray:
-    """Ancestor-sum operator: out(g) = sum over g' >= g of values(g')."""
-    out = tree_ancestor_sum(values, topo.tree_x, axis=0)
-    return tree_ancestor_sum(out, topo.tree_y, axis=1)
+def hardy_forward(topo: BiTreeTopology, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Ancestor-sum operator: out(g) = sum over g' >= g of values(g').
+
+    ``out`` (a grid of the same shape; may be ``values`` itself) receives the
+    result in place; by default a new grid does and ``values`` is untouched.
+    """
+    out = _start(values, out)
+    _ancestor_sweep(out, topo.tree_x.depth)
+    _ancestor_sweep(out.T, topo.tree_y.depth)
+    return out
 
 
-def hardy_adjoint(topo: BiTreeTopology, values: np.ndarray) -> np.ndarray:
-    """Descendant-sum operator: out(g) = sum over g' <= g of values(g')."""
-    out = tree_descendant_sum(values, topo.tree_x, axis=0)
-    return tree_descendant_sum(out, topo.tree_y, axis=1)
+def hardy_adjoint(topo: BiTreeTopology, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Descendant-sum operator: out(g) = sum over g' <= g of values(g').
+
+    ``out`` works as in ``hardy_forward``.
+    """
+    out = _start(values, out)
+    _descendant_sweep(out, topo.tree_x.depth)
+    _descendant_sweep(out.T, topo.tree_y.depth)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -273,8 +273,14 @@ TASK_REGISTRY = {
 }
 
 
-def run_scenario(spec: dict) -> dict:
-    """Execute a validated scenario; per-task failures are embedded, not raised."""
+def run_scenario(spec: dict, errors: list | None = None) -> dict:
+    """Execute a validated scenario; per-task failures are embedded, not raised.
+
+    When ``errors`` is given, each task failure is also appended to it as an
+    exception (an unknown op as a ``ScenarioError``), so a caller can tell
+    bad input from a solver failure without parsing the report.
+    """
+    errors = [] if errors is None else errors
     validate_scenario(spec)
     inst = build_instance(spec["instance"])
     report = {"schema": SCHEMA_VERSION, "instance": inst["label"], "tasks": []}
@@ -284,11 +290,13 @@ def run_scenario(spec: dict) -> dict:
         fn = TASK_REGISTRY.get(op)
         if fn is None:
             entry["error"] = f"unknown op {op!r}"
+            errors.append(ScenarioError(entry["error"]))
         else:
             try:
                 entry["result"] = fn(inst, task.get("params", {}))
             except Exception as exc:
                 entry["error"] = f"{type(exc).__name__}: {exc}"
+                errors.append(exc)
         report["tasks"].append(entry)
     return report
 

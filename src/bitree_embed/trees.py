@@ -105,6 +105,19 @@ def build_tree(depth: int) -> TreeTopology:
     return TreeTopology(depth)
 
 
+def heap_lca(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise ``TreeTopology.lca`` of integer arrays of heap indices (>= 1).
+
+    The deeper index is shifted up to the other's generation; the two then
+    share the binary prefix above the highest bit where they differ.
+    """
+    # frexp's exponent is the bit length, exact below 2**53
+    ga, gb = np.frexp(a)[1], np.frexp(b)[1]
+    a = a >> np.maximum(ga - gb, 0)
+    b = b >> np.maximum(gb - ga, 0)
+    return a >> np.frexp(a ^ b)[1]
+
+
 @dataclass(frozen=True)
 class BiTreeTopology:
     """Product of two dyadic trees under the product order."""

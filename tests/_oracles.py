@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from bitree_embed.maxflow import dinkelbach_max_ratio
-from bitree_embed.operators import MassFunction, energy_density
+from bitree_embed.operators import MassFunction, energy_density, hardy_forward
 from bitree_embed.trees import BiTreeTopology, down_closure, up_closure
 
 
@@ -26,6 +26,47 @@ def brute_adjoint(topo: BiTreeTopology, vals: np.ndarray) -> np.ndarray:
     for a in topo.nodes():
         out[a] = sum(vals[b] for b in topo.nodes() if topo.leq(b, a))
     return out
+
+
+def repeat_ancestor_sum(values: np.ndarray, tree, axis: int = 0) -> np.ndarray:
+    """Per-axis ancestor sum with a fresh ``np.repeat`` of each parent level,
+    the sweep's earlier formulation; must agree bit for bit."""
+    out = values.copy()
+    v = out if axis == 0 else out.T
+    for j in range(1, tree.depth + 1):
+        lo = 1 << j
+        v[lo : 2 * lo] += np.repeat(v[lo >> 1 : lo], 2, axis=0)
+    return out
+
+
+def copying_descendant_sum(values: np.ndarray, tree, axis: int = 0) -> np.ndarray:
+    """Per-axis descendant sum on a fresh copy, the sweep's earlier form."""
+    out = values.copy()
+    v = out if axis == 0 else out.T
+    for j in range(tree.depth - 1, -1, -1):
+        lo = 1 << j
+        v[lo : 2 * lo] += v[2 * lo : 4 * lo : 2] + v[2 * lo + 1 : 4 * lo : 2]
+    return out
+
+
+def copying_forward(topo: BiTreeTopology, vals: np.ndarray) -> np.ndarray:
+    return repeat_ancestor_sum(repeat_ancestor_sum(vals, topo.tree_x, 0), topo.tree_y, 1)
+
+
+def copying_adjoint(topo: BiTreeTopology, vals: np.ndarray) -> np.ndarray:
+    return copying_descendant_sum(copying_descendant_sum(vals, topo.tree_x, 0), topo.tree_y, 1)
+
+
+def loop_lca_kernel(topo: BiTreeTopology, nodes, w) -> np.ndarray:
+    """K[i, j] = ancestor-sum of w at ``topo.lca`` of the nodes, pair by pair:
+    the library's earlier double loop, the referee for the vectorized LCAs."""
+    iw = hardy_forward(topo, w.values)
+    n = len(nodes)
+    k = np.empty((n, n), dtype=iw.dtype)
+    for i in range(n):
+        for j in range(i, n):
+            k[i, j] = k[j, i] = iw[topo.lca(nodes[i], nodes[j])]
+    return k
 
 
 def brute_box(mu, w):
@@ -122,12 +163,10 @@ def brute_hereditary(mu, w):
 def kernel_hereditary(mu, w, chunk: int = 1 << 15):
     """Max of m_S^T K m_S / m(S) over every nonempty subset S of the support,
     K the LCA kernel; vectorized enumeration, reaching support ~20."""
-    from bitree_embed.constants import lca_kernel
-
     supp = [(int(a), int(b)) for a, b in zip(*np.nonzero(mu.values > 0))]
     n = len(supp)
     assert n <= 22, "2^n enumeration"
-    kernel = lca_kernel(mu.topo, supp, w)
+    kernel = loop_lca_kernel(mu.topo, supp, w)
     masses = np.array([mu.values[s] for s in supp], dtype=np.float64)
     ar = np.arange(n)
     best = 0.0
@@ -141,13 +180,11 @@ def kernel_hereditary(mu, w, chunk: int = 1 << 15):
 
 def dense_embedding_eig(mu, w):
     """Top eigenvalue of the explicitly assembled kernel matrix."""
-    from bitree_embed.constants import lca_kernel
-
     topo = mu.topo
     supp = [(int(a), int(b)) for a, b in zip(*np.nonzero(mu.values > 0))]
     if not supp:
         return 0.0
-    k = lca_kernel(topo, supp, w)
+    k = loop_lca_kernel(topo, supp, w)
     m = np.array([mu.values[s] for s in supp])
     b = np.sqrt(m)[:, None] * k * np.sqrt(m)[None, :]
     return float(np.linalg.eigvalsh(b)[-1])

@@ -10,6 +10,7 @@ from bitree_embed.constants import (
     embedding_constant,
     embedding_quadratic_form,
     hereditary_constant,
+    lca_kernel,
     sawyer_conditions,
     verify_chain,
 )
@@ -39,6 +40,7 @@ from _oracles import (
     brute_hereditary,
     dense_embedding_eig,
     kernel_hereditary,
+    loop_lca_kernel,
     transitive_carleson,
 )
 
@@ -151,6 +153,22 @@ def test_carleson_depth_5_memory_and_depth_6_witness():
     assert rep.value >= box_constant(mu, w).value * (1 - 1e-12)
 
 
+def _support(mu):
+    return [(int(a), int(b)) for a, b in zip(*np.nonzero(mu.values != 0))]
+
+
+def test_lca_kernel_equals_pairwise_loop():
+    cases = [random_instance(dx, dy, 10 * dx + dy, mass, "general")[1:]
+             for dx, dy in [(0, 0), (0, 4), (4, 0), (2, 5), (5, 3)] for mass in MASS_KINDS]
+    cases.append(gen_simple_car_not_rec(3, exact=True))
+    for mu, w in cases:
+        nodes = _support(mu)
+        got = lca_kernel(mu.topo, nodes, w)
+        want = loop_lca_kernel(mu.topo, nodes, w)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tolist() == want.tolist()
+
+
 def test_box_witness_reproduces_value():
     for seed in range(8):
         _, mu, w = small_oracle_instance(seed)
@@ -252,6 +270,20 @@ def test_embedding_matches_eigensolve_at_support_64():
     want = dense_embedding_eig(mu, w)
     assert abs(float(rep.value) - want) <= 1e-8 * max(1.0, want)
     assert rep.certified
+
+
+def test_embedding_depth_8_memory():
+    # one reused grid per power iteration: 11.3 MB peak when every matvec
+    # allocated fresh grids
+    _, mu, w = random_instance(8, 8, 5, "boundary", "product")
+    tracemalloc.start()
+    try:
+        rep = embedding_constant(mu, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.value > 0
+    assert peak < 8 * 2**20
 
 
 def test_embedding_near_degenerate_top_pair():

@@ -1,4 +1,5 @@
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -10,7 +11,9 @@ import pytest
 import bitree_embed
 from bitree_embed.cli import main
 from bitree_embed.counterexamples import CornerFamily
+from bitree_embed.maxflow import SolverError
 from bitree_embed.scenarios import (
+    TASK_REGISTRY,
     ScenarioError,
     SweepReport,
     build_instance,
@@ -284,6 +287,27 @@ def test_cli_scenario_schema_error(tmp_path, capsys):
     assert code == 1
 
 
+def test_cli_scenario_task_error_exit_codes(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "scenario.json"
+    instance = {"builtin": {"name": "rec_not_embedding", "depth": 64}}
+    path.write_text(json.dumps(scenario(instance, [{"op": "corner_witness"}, {"op": "no_such_op"}])))
+    # usage-type task errors (a ScenarioError, an unknown op) exit 1
+    assert main(["constants", "--scenario", str(path)]) == 1
+    tasks = json.loads(capsys.readouterr().out)["tasks"]
+    assert tasks[0]["error"].startswith("ScenarioError: ")
+    assert tasks[1]["error"] == "unknown op 'no_such_op'"
+
+    # a solver failure exits 3, also beside a usage-type error
+    def solver_fails(inst, params):
+        raise SolverError("flow did not converge")
+
+    monkeypatch.setitem(TASK_REGISTRY, "energy", solver_fails)
+    path.write_text(json.dumps(scenario(instance, [{"op": "corner_witness"}, {"op": "energy"}])))
+    assert main(["constants", "--scenario", str(path)]) == 3
+    tasks = json.loads(capsys.readouterr().out)["tasks"]
+    assert tasks[1]["error"] == "SolverError: flow did not converge"
+
+
 def test_cli_out_file_and_outdir(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("BITREE_EMBED_OUTDIR", str(tmp_path))
     code = main(["sweep", "--experiment", "car_vs_rec", "--N", "4",
@@ -316,9 +340,13 @@ def test_readme_commands_exit_zero(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_subprocess_entrypoint():
+    # the child imports the same package as this process, also when only
+    # pytest's own pythonpath setting put it on sys.path
+    src = str(Path(bitree_embed.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "bitree_embed.cli", "selftest"],
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, text=True, timeout=300, env=env,
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout and "FAIL" not in proc.stdout

@@ -15,11 +15,20 @@ from bitree_embed.operators import (
     hardy_adjoint,
     hardy_forward,
     potential,
+    tree_ancestor_sum,
+    tree_descendant_sum,
     truncated_potential,
     v_good,
 )
-from bitree_embed.trees import build_bitree, is_up_mask
-from _oracles import brute_adjoint, brute_forward
+from bitree_embed.trees import build_bitree, build_tree, is_up_mask
+from _oracles import (
+    brute_adjoint,
+    brute_forward,
+    copying_adjoint,
+    copying_descendant_sum,
+    copying_forward,
+    repeat_ancestor_sum,
+)
 
 
 def random_pair(seed, dx=2, dy=2, mass_density=0.7):
@@ -182,8 +191,6 @@ def test_single_tree_truncation_stays_below_delta():
 
 
 def test_sweep_axis_order_is_immaterial():
-    from bitree_embed.operators import tree_ancestor_sum, tree_descendant_sum
-
     topo, mu, _ = random_pair(12)
     xy = tree_ancestor_sum(tree_ancestor_sum(mu.values, topo.tree_x, 0), topo.tree_y, 1)
     yx = tree_ancestor_sum(tree_ancestor_sum(mu.values, topo.tree_y, 1), topo.tree_x, 0)
@@ -191,6 +198,76 @@ def test_sweep_axis_order_is_immaterial():
     xy = tree_descendant_sum(tree_descendant_sum(mu.values, topo.tree_x, 0), topo.tree_y, 1)
     yx = tree_descendant_sum(tree_descendant_sum(mu.values, topo.tree_y, 1), topo.tree_x, 0)
     assert np.max(np.abs(xy - yx)) <= 1e-12 * max(1.0, float(np.max(np.abs(xy))))
+
+
+SWEEP_DEPTHS = [(0, 0), (0, 3), (3, 0), (2, 5), (4, 4)]
+
+
+def _sweep_grid(shape, seed, exact):
+    """Random grid, slot-0 row and column zero; ``exact`` gives Fractions."""
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(-1, 1, size=shape)
+    v[0, :] = 0
+    v[:, 0] = 0
+    if not exact:
+        return v
+    out = np.empty(shape, dtype=object)
+    out[...] = [[Fraction(int(x * 997), 13 + i % 5) for i, x in enumerate(row)] for row in v]
+    return out
+
+
+def _assert_bit_equal(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    if a.dtype == object:
+        assert a.tolist() == b.tolist()
+    else:
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("dx,dy", SWEEP_DEPTHS)
+def test_sweeps_bit_equal_to_copying_formulation(dx, dy, exact):
+    topo = build_bitree(dx, dy)
+    v = _sweep_grid(topo.shape, 10 * dx + dy, exact)
+    for axis, tree in ((0, topo.tree_x), (1, topo.tree_y)):
+        _assert_bit_equal(tree_ancestor_sum(v, tree, axis), repeat_ancestor_sum(v, tree, axis))
+        _assert_bit_equal(tree_descendant_sum(v, tree, axis), copying_descendant_sum(v, tree, axis))
+    _assert_bit_equal(hardy_forward(topo, v), copying_forward(topo, v))
+    _assert_bit_equal(hardy_adjoint(topo, v), copying_adjoint(topo, v))
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("depth", [0, 1, 6])
+def test_one_dimensional_sweeps_bit_equal(depth, exact):
+    tree = build_tree(depth)
+    v = _sweep_grid((tree.size, 1), depth, exact)[:, 0].copy()
+    v[0] = 0
+    _assert_bit_equal(tree_ancestor_sum(v, tree), repeat_ancestor_sum(v, tree))
+    _assert_bit_equal(tree_descendant_sum(v, tree), copying_descendant_sum(v, tree))
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("dx,dy", SWEEP_DEPTHS)
+def test_hardy_out_argument(dx, dy, exact):
+    topo = build_bitree(dx, dy)
+    v = _sweep_grid(topo.shape, 7 + dx + dy, exact)
+    for op, ref in ((hardy_forward, copying_forward), (hardy_adjoint, copying_adjoint)):
+        expected = ref(topo, v)
+        kept = v.copy()
+        # out=None: a new grid, the input untouched
+        res = op(topo, v)
+        assert res is not v
+        _assert_bit_equal(v, kept)
+        _assert_bit_equal(res, expected)
+        # out=values: in place
+        inplace = v.copy()
+        assert op(topo, inplace, out=inplace) is inplace
+        _assert_bit_equal(inplace, expected)
+        # out=another grid: filled from the input, the input untouched
+        buf = np.full(topo.shape, 5.0).astype(v.dtype)
+        assert op(topo, v, out=buf) is buf
+        _assert_bit_equal(buf, expected)
+        _assert_bit_equal(v, kept)
 
 
 def test_sum_of_products_structure_validation():
