@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from fractions import Fraction
 
 import numpy as np
 
 from . import counterexamples as cx
 from .constants import carleson_constant, hereditary_constant, verify_chain
 from .maxflow import SolverError
-from .operators import energy
 from .scenarios import (
     EXPERIMENTS,
     ScenarioError,
@@ -44,7 +44,6 @@ def _build_parser() -> _Parser:
 
     def common(sp):
         sp.add_argument("--out", help="output file (relative paths land in $BITREE_EMBED_OUTDIR)")
-        sp.add_argument("--format", choices=["json", "csv"], default="json")
 
     sp = sub.add_parser("constants", help="compute the four constants on an instance")
     sp.add_argument("--scenario", help="JSON scenario file; overrides --depth/--seed")
@@ -77,6 +76,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--N", type=int, nargs="+", required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--format", choices=["json", "csv"], default="json")
     common(sp)
 
     sp = sub.add_parser("selftest", help="quick internal consistency battery")
@@ -103,7 +103,7 @@ def _cmd_constants(args) -> int:
             ],
         }
     report = run_scenario(spec, errors)
-    sys.stdout.write(write_report(report, args.out, args.format))
+    sys.stdout.write(write_report(report, args.out))
     if not errors:
         return EXIT_OK
     # bad input (the same errors main() maps to exit 1) only when no task
@@ -130,7 +130,7 @@ def _cmd_verify(args) -> int:
             failures.append(args.seed + i)
     out = {"schema": "bitree-embed/1", "command": "verify",
            "depth": list(args.depth), "instances": reports, "failures": failures}
-    sys.stdout.write(write_report(out, args.out, "json"))
+    sys.stdout.write(write_report(out, args.out))
     return EXIT_ASSERTION if failures else EXIT_OK
 
 
@@ -148,7 +148,7 @@ def _cmd_counterexample(args) -> int:
         fam = cx.gen_upset_car_not_rec(n)
         out.update(m_count=fam.m_count,
                    corner_potential=float(fam.potential_at((n, 0, n, 0), include_atom=False)),
-                   hereditary_witness=float(fam.restricted_energy_at_corner_cell() / fam.corner_atom),
+                   hereditary_witness=float(fam.corner_witness_ratio()),
                    max_support_potential=max(
                        float(fam.potential_at(node, include_atom=False))
                        for _, node in fam.sample_support(per_quadrant=8, seed=args.seed)))
@@ -157,25 +157,17 @@ def _cmd_counterexample(args) -> int:
             out["carleson"] = float(carleson_constant(mu, w).value)
     elif args.name == "layered":
         fam = cx.gen_rec_not_embedding(n)
-        rhs = float(fam.energy(pieces=[0]))
-        lhs = 0.0
-        for piece in fam.pieces:
-            for (a, b) in piece.rects:
-                v = float(fam.potential_at((a, 0, b, 0), pieces=[0]))
-                lhs += float(piece.rect_mass) * v * v
+        lhs, rhs = fam.embedding_test()
         out.update(m_count=fam.m_count, k_count=len(fam.pieces) - 1,
                    test_numerator=lhs, test_denominator=rhs,
                    embedding_lower_ratio=lhs / rhs)
     else:
         mu, w, fam = cx.gen_sum_of_products(n)
-        leaf = 1 << n
-        mask = np.zeros(mu.topo.shape, dtype=bool)
-        mask[leaf, leaf] = True
-        restricted = mu.restrict(mask)
+        e, m = cx.corner_cell_restriction(mu, w)
         out.update(m_count=fam.m_count,
-                   hereditary_witness=float(energy(restricted, w)) / float(restricted.total_mass),
+                   hereditary_witness=float(e) / float(m),
                    carleson=float(carleson_constant(mu, w).value))
-    sys.stdout.write(write_report(out, args.out, "json"))
+    sys.stdout.write(write_report(out, args.out))
     return EXIT_OK
 
 
@@ -208,20 +200,14 @@ def _cmd_selftest(args) -> int:
         rep = verify_chain(mu, w)
         check(f"chain order #{i}", rep.ok)
     mu, w = cx.gen_simple_car_not_rec(4, exact=True)
-    leaf = 1 << 4
-    mask = np.zeros(mu.topo.shape, dtype=bool)
-    mask[leaf, leaf] = True
-    rest = mu.restrict(mask)
-    from fractions import Fraction
-
-    ratio = Fraction(energy(rest, w)) / Fraction(rest.total_mass)
-    check("staircase corner ratio == N+1", ratio == 5)
+    e, m = cx.corner_cell_restriction(mu, w)
+    check("staircase corner ratio == N+1", Fraction(e) / Fraction(m) == 5)
     check("staircase carleson <= 4", carleson_constant(mu, w).value <= 4)
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.out:
         write_report({"schema": "bitree-embed/1", "command": "selftest",
-                      "lines": lines, "ok": ok_all}, args.out, "json")
+                      "lines": lines, "ok": ok_all}, args.out)
     return EXIT_OK if ok_all else EXIT_ASSERTION
 
 

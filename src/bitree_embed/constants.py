@@ -20,8 +20,23 @@ from typing import Any
 import numpy as np
 
 from .maxflow import dinkelbach_max_ratio
-from .operators import MassFunction, WeightFunction, energy_density, hardy_adjoint, hardy_forward
-from .trees import BiTreeTopology, bitree_cover_lists, down_closure, enumerate_down_sets, heap_lca
+from .operators import (
+    MassFunction,
+    WeightFunction,
+    energy_density,
+    hardy_adjoint,
+    hardy_forward,
+    suffix_rect_sums,
+)
+from .trees import (
+    DEFAULT_DENSE_CAP,
+    BiTreeTopology,
+    SizeError,
+    bitree_cover_lists,
+    down_closure,
+    enumerate_down_sets,
+    heap_lca,
+)
 
 # reference envelopes for the hereditary-to-Carleson ratio under product
 # weights; recorded next to empirical maxima, never asserted
@@ -186,7 +201,16 @@ def _carleson_brute(mu: MassFunction, w: WeightFunction) -> ConstantReport:
 # ---------------------------------------------------------------------------
 
 def lca_kernel(topo: BiTreeTopology, nodes: list[tuple[int, int]], w: WeightFunction) -> np.ndarray:
-    """K[i, j] = ancestor-sum of w at the least common ancestor of the nodes."""
+    """K[i, j] = ancestor-sum of w at the least common ancestor of the nodes.
+
+    The kernel is dense, so its n^2 entries count against the dense cap.
+    """
+    n = len(nodes)
+    if n * n > DEFAULT_DENSE_CAP:
+        raise SizeError(
+            f"LCA kernel of {n} support points needs {n * n} entries, "
+            f"above the dense cap {DEFAULT_DENSE_CAP}"
+        )
     iw = hardy_forward(topo, w.values)
     ix, iy = np.array(nodes, dtype=np.int64).reshape(-1, 2).T
     return iw[heap_lca(ix[:, None], ix), heap_lca(iy[:, None], iy)]
@@ -201,6 +225,9 @@ def hereditary_constant(mu: MassFunction, w: WeightFunction) -> ConstantReport:
     that forces both points.  All numerators are >= 0, so the best closure
     over a point set S takes every pair inside S and its ratio is exactly the
     restricted energy over the restricted mass.
+
+    Raises SizeError when the support's dense kernel would exceed the dense
+    cap (support^2 > ``DEFAULT_DENSE_CAP``).
     """
     topo = mu.topo
     idx = np.nonzero(np.asarray(mu.values != 0))
@@ -327,15 +354,13 @@ def sawyer_conditions(mu: MassFunction, w: WeightFunction) -> tuple[float, float
     if w.kind != "hooked" or w.anchor is None:
         raise ValueError("sawyer_conditions needs a hooked weight with an anchor")
     topo = mu.topo
-    anchor = w.anchor
-    xs = list(topo.tree_x.ancestors(anchor[0]))[::-1]
-    ys = list(topo.tree_y.ancestors(anchor[1]))[::-1]
-    grid = np.ix_(xs, ys)
+    grid = topo.ancestor_grid(w.anchor)
 
+    istar_all = hardy_adjoint(topo, mu.values)
     iw = hardy_forward(topo, w.values)[grid]
-    istar = hardy_adjoint(topo, mu.values)[grid]
+    istar = istar_all[grid]
     mu_grid = mu.values[grid]
-    e_grid = (w.values * hardy_adjoint(topo, mu.values) ** 2)[grid]
+    e_grid = (w.values * istar_all**2)[grid]
 
     a1_sq = float(np.max(istar * iw))
 
@@ -344,7 +369,7 @@ def sawyer_conditions(mu: MassFunction, w: WeightFunction) -> tuple[float, float
     pos = iw > 0
     a2_sq = float(np.max(np.where(pos, prefix, 0.0) / np.where(pos, iw, 1.0))) if pos.any() else 0.0
 
-    suffix = np.cumsum(np.cumsum(e_grid[::-1, ::-1], axis=0), axis=1)[::-1, ::-1]
+    suffix = suffix_rect_sums(e_grid)
     pos = istar > 0
     a3_sq = float(np.max(np.where(pos, suffix, 0.0) / np.where(pos, istar, 1.0))) if pos.any() else 0.0
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .operators import MassFunction, WeightFunction
+from .operators import MassFunction, WeightFunction, energy
 from .trees import BiTreeTopology, build_bitree, up_closure
 
 
@@ -177,6 +177,24 @@ class CornerFamily:
         """Energy of the measure restricted to the corner cell alone."""
         return self.corner_atom**2 * self.weighted_ancestor_count()
 
+    def corner_witness_ratio(self) -> Fraction:
+        """Hereditary ratio certified by the corner-cell restriction: its
+        energy over its mass, the corner atom (which must be nonzero)."""
+        return self.restricted_energy_at_corner_cell() / self.corner_atom
+
+    def embedding_test(self) -> tuple[float, float]:
+        """(numerator, denominator) of the embedding test by the base piece's
+        potential: the mass of every quadrant times the squared base
+        potential at its corner, against the base piece's energy.  Summed in
+        floats, quadrant by quadrant in piece order."""
+        rhs = float(self.energy(pieces=[0]))
+        lhs = 0.0
+        for piece in self.pieces:
+            for (a, b) in piece.rects:
+                v = float(self.potential_at((a, 0, b, 0), pieces=[0]))
+                lhs += float(piece.rect_mass) * v * v
+        return lhs, rhs
+
     def interval_counts(self) -> dict[tuple[int, int], int]:
         """Number of weighted rectangles containing exactly the base
         rectangles indexed by [m, m+k], keyed by (m, k); 1-based indices.
@@ -282,6 +300,16 @@ class CornerFamily:
         wv = wmask.astype(object if exact else np.float64) * (1 if exact else 1.0)
         w = WeightFunction.general(topo, wv)
         return mu, w
+
+
+def corner_cell_restriction(mu: MassFunction, w: WeightFunction):
+    """(energy, mass) of mu restricted to the corner boundary cell, the
+    depth-N cell at offset 0 on both axes."""
+    topo = mu.topo
+    mask = np.zeros(topo.shape, dtype=bool)
+    mask[topo.tree_x.leaf_start, topo.tree_y.leaf_start] = True
+    restricted = mu.restrict(mask)
+    return energy(restricted, w), restricted.total_mass
 
 
 def _corner_cap(g: int, o: int) -> int:

@@ -32,36 +32,19 @@ class PreconditionError(ValueError):
 # superadditivity
 # ---------------------------------------------------------------------------
 
-def tree_children_sums(values: np.ndarray, tree: TreeTopology) -> np.ndarray:
+def children_sums(values: np.ndarray, tree: TreeTopology, axis: int = 0) -> np.ndarray:
+    """Per node, the sum of its two children along one axis (zero at leaves)."""
     out = np.zeros_like(values)
     leaf = tree.leaf_start
     if leaf > 1:
-        out[1:leaf] = values[2 : 2 * leaf : 2] + values[3 : 2 * leaf : 2]
+        o, v = (out, values) if axis == 0 else (out.T, values.T)
+        o[1:leaf] = v[2 : 2 * leaf : 2] + v[3 : 2 * leaf : 2]
     return out
 
 
 def bitree_children_sums(values: np.ndarray, topo: BiTreeTopology) -> np.ndarray:
     """Sum over the product-order covers below each node (up to 4)."""
-    out = np.zeros_like(values)
-    lx = topo.tree_x.leaf_start
-    ly = topo.tree_y.leaf_start
-    if lx > 1:
-        out[1:lx, :] += values[2 : 2 * lx : 2, :] + values[3 : 2 * lx : 2, :]
-    if ly > 1:
-        out[:, 1:ly] += values[:, 2 : 2 * ly : 2] + values[:, 3 : 2 * ly : 2]
-    return out
-
-
-def slice_children_sums(values: np.ndarray, topo: BiTreeTopology, axis: int = 0) -> np.ndarray:
-    """Per-slice cover sums along one axis only."""
-    out = np.zeros_like(values)
-    tree = topo.tree_x if axis == 0 else topo.tree_y
-    leaf = tree.leaf_start
-    v = values if axis == 0 else values.T
-    o = out if axis == 0 else out.T
-    if leaf > 1:
-        o[1:leaf] = v[2 : 2 * leaf : 2] + v[3 : 2 * leaf : 2]
-    return out
+    return children_sums(values, topo.tree_x, 0) + children_sums(values, topo.tree_y, 1)
 
 
 def _first_violation(values, sums, rtol, atol):
@@ -74,7 +57,7 @@ def is_superadditive(values: np.ndarray, topo, rtol: float = 1e-9, atol: float =
     """(ok, first violating node).  For a bi-tree the covers from below are
     the per-axis children, up to four of them."""
     if isinstance(topo, TreeTopology):
-        sums = tree_children_sums(values, topo)
+        sums = children_sums(values, topo)
     else:
         sums = bitree_children_sums(values, topo)
     node = _first_violation(values, sums, rtol, atol)
@@ -83,7 +66,7 @@ def is_superadditive(values: np.ndarray, topo, rtol: float = 1e-9, atol: float =
 
 def is_slice_superadditive(values: np.ndarray, topo: BiTreeTopology, axis: int = 0,
                            rtol: float = 1e-9, atol: float = 0.0):
-    sums = slice_children_sums(values, topo, axis)
+    sums = children_sums(values, topo.tree_x if axis == 0 else topo.tree_y, axis)
     node = _first_violation(values, sums, rtol, atol)
     return node is None, node
 

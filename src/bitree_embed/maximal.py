@@ -11,7 +11,7 @@ import numpy as np
 from .constants import carleson_constant, embedding_constant
 from .maxflow import FlowNetwork
 from .operators import MassFunction, WeightFunction, hardy_adjoint
-from .trees import BiTreeTopology, down_closure
+from .trees import BiTreeTopology, ancestor_sweep, bitree_sweep, down_closure
 
 
 def _safe_avg(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -22,16 +22,6 @@ def _safe_avg(num: np.ndarray, den: np.ndarray) -> np.ndarray:
         return out
     pos = den > 0
     return np.where(pos, num, 0.0) / np.where(pos, den, 1.0)
-
-
-def _ancestor_max(topo: BiTreeTopology, values: np.ndarray) -> np.ndarray:
-    out = values.copy()
-    for tree, axis in ((topo.tree_x, 0), (topo.tree_y, 1)):
-        v = out if axis == 0 else out.T
-        for j in range(1, tree.depth + 1):
-            lo = 1 << j
-            v[lo : 2 * lo] = np.maximum(v[lo : 2 * lo], np.repeat(v[lo >> 1 : lo], 2, axis=0))
-    return out
 
 
 def averages(mu: MassFunction, psi: np.ndarray) -> np.ndarray:
@@ -45,7 +35,7 @@ def averages(mu: MassFunction, psi: np.ndarray) -> np.ndarray:
 
 def maximal_function(mu: MassFunction, psi: np.ndarray) -> np.ndarray:
     """Largest mass average of |psi| over each node's ancestors."""
-    return _ancestor_max(mu.topo, averages(mu, psi))
+    return bitree_sweep(mu.topo, averages(mu, psi), ancestor_sweep, np.maximum)
 
 
 def maximal_norm_ratio(mu: MassFunction, psi: np.ndarray) -> float:
@@ -71,7 +61,7 @@ def extremal_weight(mu: MassFunction, psi: np.ndarray, order=None):
         raise ValueError("psi must not vanish mu-almost everywhere")
     exact = mu.values.dtype == object or np.asarray(psi).dtype == object
     avg = averages(mu, psi)
-    mfun = _ancestor_max(topo, avg)
+    mfun = bitree_sweep(topo, avg.copy(), ancestor_sweep, np.maximum)
     istar_mu = hardy_adjoint(topo, mu.values)
     istar_psimu = hardy_adjoint(topo, psi * mu.values)
 

@@ -4,15 +4,13 @@ truncations, and the energy functionals built from them.
 All operators accept float64 arrays and, for exact certification at oracle
 scale, object-dtype arrays holding ints or ``fractions.Fraction``.
 
-The per-axis sweeps work in place, one tree level at a time, on strided
-slices of the grid (a transposed view for the second axis), and allocate no
-per-level copies beyond the children pair sums of the descendant sweep.
-``tree_*_sum`` copy their input once; ``hardy_forward``/``hardy_adjoint`` do
-too unless given ``out=``, a grid (possibly the input itself) that receives
-the result in place, so a caller that repeats them, such as the power
-iteration of ``embedding_constant``, reuses one buffer.  Each element sees
-the same additions in the same order either way, so results are
-bit-identical.
+The sums run on the in-place per-axis sweep kernel of ``trees``
+(``ancestor_sweep``/``descendant_sweep`` with ``np.add``).  ``tree_*_sum``
+copy their input once; ``hardy_forward``/``hardy_adjoint`` do too unless
+given ``out=``, a grid (possibly the input itself) that receives the result
+in place, so a caller that repeats them, such as the power iteration of
+``embedding_constant``, reuses one buffer.  Each element sees the same
+additions in the same order either way, so results are bit-identical.
 """
 
 from __future__ import annotations
@@ -22,31 +20,21 @@ from typing import Any
 
 import numpy as np
 
-from .trees import BiTreeTopology, TreeTopology, UpSet, is_up_mask
+from .trees import (
+    BiTreeTopology,
+    TreeTopology,
+    UpSet,
+    ancestor_sweep,
+    bitree_sweep,
+    descendant_sweep,
+    is_up_mask,
+    up_closure,
+)
 
 
 # ---------------------------------------------------------------------------
-# per-axis sweeps
+# ancestor and descendant sums
 # ---------------------------------------------------------------------------
-
-def _ancestor_sweep(v: np.ndarray, depth: int) -> None:
-    """In place along axis 0 of v: add each parent row into its two children,
-    top level first, so every node ends up with its ancestors-or-equal sum."""
-    for j in range(1, depth + 1):
-        lo = 1 << j
-        parents = v[lo >> 1 : lo]
-        v[lo : 2 * lo : 2] += parents
-        v[lo + 1 : 2 * lo : 2] += parents
-
-
-def _descendant_sweep(v: np.ndarray, depth: int) -> None:
-    """In place along axis 0 of v: add each pair of children into their
-    parent, bottom level first, so every node ends up with its
-    descendants-or-equal sum."""
-    for j in range(depth - 1, -1, -1):
-        lo = 1 << j
-        v[lo : 2 * lo] += v[2 * lo : 4 * lo : 2] + v[2 * lo + 1 : 4 * lo : 2]
-
 
 def _start(values: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     if out is None:
@@ -59,14 +47,14 @@ def _start(values: np.ndarray, out: np.ndarray | None) -> np.ndarray:
 def tree_ancestor_sum(values: np.ndarray, tree: TreeTopology, axis: int = 0) -> np.ndarray:
     """out[i] = sum of values over ancestors-or-equal of i, along one axis."""
     out = values.copy()
-    _ancestor_sweep(out if axis == 0 else out.T, tree.depth)
+    ancestor_sweep(out if axis == 0 else out.T, tree.depth)
     return out
 
 
 def tree_descendant_sum(values: np.ndarray, tree: TreeTopology, axis: int = 0) -> np.ndarray:
     """out[i] = sum of values over descendants-or-equal of i, along one axis."""
     out = values.copy()
-    _descendant_sweep(out if axis == 0 else out.T, tree.depth)
+    descendant_sweep(out if axis == 0 else out.T, tree.depth)
     return out
 
 
@@ -76,10 +64,7 @@ def hardy_forward(topo: BiTreeTopology, values: np.ndarray, out: np.ndarray | No
     ``out`` (a grid of the same shape; may be ``values`` itself) receives the
     result in place; by default a new grid does and ``values`` is untouched.
     """
-    out = _start(values, out)
-    _ancestor_sweep(out, topo.tree_x.depth)
-    _ancestor_sweep(out.T, topo.tree_y.depth)
-    return out
+    return bitree_sweep(topo, _start(values, out), ancestor_sweep)
 
 
 def hardy_adjoint(topo: BiTreeTopology, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -87,10 +72,7 @@ def hardy_adjoint(topo: BiTreeTopology, values: np.ndarray, out: np.ndarray | No
 
     ``out`` works as in ``hardy_forward``.
     """
-    out = _start(values, out)
-    _descendant_sweep(out, topo.tree_x.depth)
-    _descendant_sweep(out.T, topo.tree_y.depth)
-    return out
+    return bitree_sweep(topo, _start(values, out), descendant_sweep)
 
 
 # ---------------------------------------------------------------------------
@@ -191,19 +173,12 @@ class WeightFunction:
     def product(cls, topo: BiTreeTopology, wx: np.ndarray, wy: np.ndarray) -> "WeightFunction":
         wx = np.asarray(wx)
         wy = np.asarray(wy)
-        v = np.outer(wx, wy)
-        v[0, :] = 0
-        v[:, 0] = 0
+        v = _outer_sum(topo, [(wx, wy)], np.result_type(wx, wy))
         return cls(topo, v, kind="product", factors=(wx, wy))
 
     @classmethod
     def sum_of_products(cls, topo: BiTreeTopology, terms) -> "WeightFunction":
-        v = topo.zeros()
-        for wx, wy in terms:
-            v += np.outer(np.asarray(wx), np.asarray(wy))
-        v[0, :] = 0
-        v[:, 0] = 0
-        return cls(topo, v, kind="sum_of_products", factors=list(terms))
+        return cls(topo, _outer_sum(topo, terms), kind="sum_of_products", factors=list(terms))
 
     @classmethod
     def hooked(cls, topo: BiTreeTopology, anchor: tuple[int, int], values: np.ndarray) -> "WeightFunction":
@@ -211,30 +186,16 @@ class WeightFunction:
 
     def validate_structure(self, rtol: float = 1e-12) -> None:
         """Check that the values actually carry the tagged structure."""
-        if self.kind == "product":
-            wx, wy = self.factors
-            ref = np.outer(wx, wy)
-            ref[0, :] = 0
-            ref[:, 0] = 0
+        if self.kind in ("product", "sum_of_products"):
+            terms = [self.factors] if self.kind == "product" else self.factors
+            ref = _outer_sum(self.topo, terms, self.values.dtype)
             err = np.max(np.abs(self.values - ref))
             scale = max(float(np.max(np.abs(ref))), 1.0)
             if err > rtol * scale:
-                raise ValueError("product tag does not match values")
-        elif self.kind == "sum_of_products":
-            ref = np.zeros(self.topo.shape)
-            for wx, wy in self.factors:
-                ref += np.outer(np.asarray(wx), np.asarray(wy))
-            ref[0, :] = 0
-            ref[:, 0] = 0
-            err = np.max(np.abs(self.values - ref))
-            scale = max(float(np.max(np.abs(ref))), 1.0)
-            if err > rtol * scale:
-                raise ValueError("sum-of-products tag does not match values")
+                raise ValueError(f"{self.kind.replace('_', '-')} tag does not match values")
         elif self.kind == "hooked":
             if self.anchor is None:
                 raise ValueError("hooked weight needs an anchor node")
-            from .trees import up_closure
-
             allowed = np.zeros(self.topo.shape, dtype=bool)
             allowed[self.anchor] = True
             allowed = up_closure(self.topo, allowed)
@@ -242,10 +203,26 @@ class WeightFunction:
                 raise ValueError("hooked weight has support off the anchor's ancestors")
 
     def scaled(self, c) -> "WeightFunction":
+        """The weight times c; a structured weight scales the x-factor of
+        each term and keeps its tag."""
         if self.kind == "product":
             wx, wy = self.factors
             return WeightFunction.product(self.topo, np.asarray(wx) * c, wy)
+        if self.kind == "sum_of_products":
+            terms = [(np.asarray(wx) * c, wy) for wx, wy in self.factors]
+            return WeightFunction.sum_of_products(self.topo, terms)
         return WeightFunction(self.topo, self.values * c, kind=self.kind, anchor=self.anchor)
+
+
+def _outer_sum(topo: BiTreeTopology, terms, dtype=np.float64) -> np.ndarray:
+    """Sum of the outer products wx * wy over the terms, added to a zero grid
+    of the given dtype, with the unused slot-0 row and column zeroed."""
+    v = topo.zeros(dtype)
+    for wx, wy in terms:
+        v = v + _check_grid(topo, np.outer(np.asarray(wx), np.asarray(wy)))
+    v[0, :] = 0
+    v[:, 0] = 0
+    return v
 
 
 @dataclass
@@ -317,15 +294,12 @@ def v_good(mu: MassFunction, w: WeightFunction, eps) -> np.ndarray:
     h = w.values * hardy_adjoint(topo, mu.values)
     out = topo.zeros(dtype=h.dtype)
     for node in topo.nodes():
-        out[node] = _v_good_at(topo, h, eps, node)
+        grid = h[topo.ancestor_grid(node)]
+        out[node] = (grid * np.asarray(suffix_rect_sums(grid) > eps)).sum()
     return out
 
 
-def _v_good_at(topo: BiTreeTopology, h: np.ndarray, eps, node: tuple[int, int]):
-    xs = list(topo.tree_x.ancestors(node[0]))[::-1]
-    ys = list(topo.tree_y.ancestors(node[1]))[::-1]
-    grid = h[np.ix_(xs, ys)]
-    # suffix rectangle sums: S[a,b] = sum over deeper-or-equal grid cells
-    s = np.cumsum(np.cumsum(grid[::-1, ::-1], axis=0), axis=1)[::-1, ::-1]
-    keep = np.asarray(s > eps)
-    return (grid * keep).sum()
+def suffix_rect_sums(grid: np.ndarray) -> np.ndarray:
+    """On an ancestor grid (root first on both axes): S[a, b] = sum over the
+    cells at or below (a, b) on both axes."""
+    return np.cumsum(np.cumsum(grid[::-1, ::-1], axis=0), axis=1)[::-1, ::-1]

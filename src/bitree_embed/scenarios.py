@@ -16,7 +16,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-import jsonschema
 import numpy as np
 
 from . import counterexamples as cx
@@ -122,6 +121,8 @@ class ScenarioError(ValueError):
 
 
 def validate_scenario(spec: dict) -> dict:
+    import jsonschema  # only scenario validation needs it; keeps the package import light
+
     try:
         jsonschema.validate(spec, SCENARIO_SCHEMA)
     except jsonschema.ValidationError as exc:
@@ -240,9 +241,8 @@ def _task_corner_witness(inst, params):
         raise ScenarioError("task needs a structured corner family")
     if not fam.corner_atom:
         raise ScenarioError(f"corner witness needs a corner atom; the {fam.kind} family has none")
-    ratio = fam.restricted_energy_at_corner_cell() / fam.corner_atom
     return {
-        "hereditary_witness_ratio": float(ratio),
+        "hereditary_witness_ratio": float(fam.corner_witness_ratio()),
         "corner_potential": float(fam.potential_at((fam.depth, 0, fam.depth, 0))),
         "m_count": fam.m_count,
     }
@@ -390,7 +390,7 @@ def _cell_car_vs_rec(n: int, seed: int) -> list:
                          ratio=float(her.value) / float(car.value), seed=seed))
     if n >= 4 and n & (n - 1) == 0:
         fam = cx.gen_upset_car_not_rec(n)
-        wit = float(fam.restricted_energy_at_corner_cell() / fam.corner_atom)
+        wit = float(fam.corner_witness_ratio())
         rows.append(_row("car_vs_rec", "upset", n, "hc_witness", wit,
                          witness="corner_cell", seed=seed))
         # closed-form down-set optimum; equals the dense min-cut value where
@@ -404,12 +404,7 @@ def _cell_car_vs_rec(n: int, seed: int) -> list:
 
 def _cell_rec_vs_embedding(n: int, seed: int) -> list:
     fam = cx.gen_rec_not_embedding(n)
-    rhs = float(fam.energy(pieces=[0]))
-    lhs = 0.0
-    for piece in fam.pieces:
-        for (a, b) in piece.rects:
-            v = float(fam.potential_at((a, 0, b, 0), pieces=[0]))
-            lhs += float(piece.rect_mass) * v * v
+    lhs, rhs = fam.embedding_test()
     ratio = lhs / rhs
     surrogate = 0.0
     for k in range(len(fam.pieces)):
@@ -428,11 +423,8 @@ def _cell_rec_vs_embedding(n: int, seed: int) -> list:
 
 def _cell_sum_of_products(n: int, seed: int) -> list:
     mu, w, fam = cx.gen_sum_of_products(n)
-    leaf = 1 << n
-    mask = np.zeros(mu.topo.shape, dtype=bool)
-    mask[leaf, leaf] = True
-    restricted = mu.restrict(mask)
-    wit = float(energy(restricted, w)) / float(restricted.total_mass)
+    e, m = cx.corner_cell_restriction(mu, w)
+    wit = float(e) / float(m)
     car = carleson_constant(mu, w)
     return [
         _row("sum_of_products", "counting_weight", n, "hc_witness", wit,

@@ -13,6 +13,13 @@ Conventions used throughout the package:
   the product order.  Dense node data lives in arrays of shape
   ``(2**(Nx+1), 2**(Ny+1))`` whose row 0 and column 0 are unused and kept at
   zero.
+
+Every level-by-level pass over the heap layout in the package goes through
+the per-axis sweep kernel here, ``ancestor_sweep``/``descendant_sweep``: in
+place, one tree level at a time, on strided slices of a grid (a transposed
+view for the second axis), combining with a ufunc.  ``np.add`` gives the
+ancestor and descendant sums of ``operators``, ``np.logical_or`` the down-
+and up-closures below, ``np.maximum`` the maximal function of ``maximal``.
 """
 
 from __future__ import annotations
@@ -197,11 +204,12 @@ class BiTreeTopology:
         m[1:, 1:] = True
         return m
 
-    def ancestor_grid(self, node: tuple[int, int]) -> list[list[tuple[int, int]]]:
-        """All ancestors of the node as a (gen_x+1) x (gen_y+1) grid, root first."""
+    def ancestor_grid(self, node: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+        """Open-mesh index (``np.ix_``) of the node's ancestors-or-equal, a
+        (gen_x+1) x (gen_y+1) grid, root first on both axes."""
         xs = list(self.tree_x.ancestors(node[0]))[::-1]
         ys = list(self.tree_y.ancestors(node[1]))[::-1]
-        return [[(ix, iy) for iy in ys] for ix in xs]
+        return np.ix_(xs, ys)
 
 
 def build_bitree(depth_x: int, depth_y: int, max_entries: int = DEFAULT_DENSE_CAP) -> BiTreeTopology:
@@ -217,37 +225,49 @@ def build_bitree(depth_x: int, depth_y: int, max_entries: int = DEFAULT_DENSE_CA
 
 
 # ---------------------------------------------------------------------------
+# Per-axis sweeps
+# ---------------------------------------------------------------------------
+
+def ancestor_sweep(v: np.ndarray, depth: int, op=np.add) -> None:
+    """In place along axis 0 of v: combine each parent row into its two
+    children, top level first, so every node ends up with ``op`` reduced over
+    its ancestors-or-equal."""
+    for j in range(1, depth + 1):
+        lo = 1 << j
+        parents = v[lo >> 1 : lo]
+        for child in (v[lo : 2 * lo : 2], v[lo + 1 : 2 * lo : 2]):
+            op(child, parents, out=child)
+
+
+def descendant_sweep(v: np.ndarray, depth: int, op=np.add) -> None:
+    """In place along axis 0 of v: combine each pair of children into their
+    parent, bottom level first, so every node ends up with ``op`` reduced
+    over its descendants-or-equal."""
+    for j in range(depth - 1, -1, -1):
+        lo = 1 << j
+        level = v[lo : 2 * lo]
+        op(level, op(v[2 * lo : 4 * lo : 2], v[2 * lo + 1 : 4 * lo : 2]), out=level)
+
+
+def bitree_sweep(topo: BiTreeTopology, v: np.ndarray, sweep, op=np.add) -> np.ndarray:
+    """Run a per-axis sweep in place over both axes of a grid, x first; returns v."""
+    sweep(v, topo.tree_x.depth, op)
+    sweep(v.T, topo.tree_y.depth, op)
+    return v
+
+
+# ---------------------------------------------------------------------------
 # Down-sets and up-sets
 # ---------------------------------------------------------------------------
 
 def down_closure(topo: BiTreeTopology, mask: np.ndarray) -> np.ndarray:
     """Smallest down-set containing the masked nodes."""
-    out = mask.copy()
-    _propagate_down_axis(out, topo.tree_x, axis=0)
-    _propagate_down_axis(out, topo.tree_y, axis=1)
-    return out
+    return bitree_sweep(topo, mask.copy(), ancestor_sweep, np.logical_or)
 
 
 def up_closure(topo: BiTreeTopology, mask: np.ndarray) -> np.ndarray:
     """Smallest up-set containing the masked nodes."""
-    out = mask.copy()
-    _propagate_up_axis(out, topo.tree_x, axis=0)
-    _propagate_up_axis(out, topo.tree_y, axis=1)
-    return out
-
-
-def _propagate_down_axis(mask: np.ndarray, tree: TreeTopology, axis: int) -> None:
-    m = mask if axis == 0 else mask.T
-    for j in range(1, tree.depth + 1):
-        lo, hi = 1 << j, 1 << (j + 1)
-        m[lo:hi] |= np.repeat(m[lo >> 1 : lo], 2, axis=0)
-
-
-def _propagate_up_axis(mask: np.ndarray, tree: TreeTopology, axis: int) -> None:
-    m = mask if axis == 0 else mask.T
-    for j in range(tree.depth - 1, -1, -1):
-        lo, hi = 1 << j, 1 << (j + 1)
-        m[lo:hi] |= m[hi : hi << 1 : 2] | m[hi + 1 : hi << 1 : 2]
+    return bitree_sweep(topo, mask.copy(), descendant_sweep, np.logical_or)
 
 
 def is_down_mask(topo: BiTreeTopology, mask: np.ndarray) -> bool:

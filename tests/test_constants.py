@@ -33,7 +33,7 @@ from bitree_embed.operators import (
     hardy_adjoint,
     hardy_forward,
 )
-from bitree_embed.trees import build_bitree, is_down_mask
+from bitree_embed.trees import SizeError, build_bitree, is_down_mask
 from _oracles import (
     brute_box,
     brute_carleson,
@@ -249,6 +249,20 @@ def test_hereditary_matches_kernel_enumeration_beyond_brute(support):
     restricted = mu.restrict(rep.witness["mask"])
     ratio = float(energy_density(restricted, w).sum()) / float(restricted.total_mass)
     assert abs(ratio - float(rep.value)) <= 1e-12 * ratio
+
+
+def test_hereditary_size_guard_before_kernel():
+    # support 64 * 128 = 8192: its dense kernel would take 8192^2 > 2^24 entries
+    topo = build_bitree(6, 7)
+    mu, w = MassFunction.uniform_boundary(topo), WeightFunction.constant(topo)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeError, match="8192 support points"):
+            hereditary_constant(mu, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20  # the kernel alone would be 512 MB
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -339,14 +339,59 @@ def test_readme_commands_exit_zero(tmp_path, monkeypatch, capsys):
     assert json.loads((tmp_path / "report.json").read_text())["tasks"][2]["result"]["certified"]
 
 
-def test_cli_subprocess_entrypoint():
+@pytest.mark.parametrize("argv", [
+    ["verify"],
+    ["constants"],
+    ["counterexample", "--name", "simple", "--N", "2"],
+    ["selftest"],
+])
+def test_format_option_only_on_sweep(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "csv"])
+    assert exc.value.code == 1
+    assert "--format" in capsys.readouterr().err
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("counterexample_simple_8.json", "counterexample --name simple --N 8"),
+    ("counterexample_upset_64.json", "counterexample --name upset --N 64"),
+    ("counterexample_layered_256.json", "counterexample --name layered --N 256"),
+    ("counterexample_sum_of_products_8.json", "counterexample --name sum_of_products --N 8"),
+    ("sweep_car_vs_rec_4_8.json", "sweep --experiment car_vs_rec --N 4 8"),
+    ("sweep_rec_vs_embedding_64_256.json", "sweep --experiment rec_vs_embedding --N 64 256"),
+    ("sweep_sum_of_products_4_8.csv", "sweep --experiment sum_of_products --N 4 8 --format csv"),
+    ("selftest.txt", "selftest"),
+])
+def test_golden_outputs(name, argv, capsys):
+    # recorded from the command line before the family quantities and the
+    # sweep kernel were consolidated; stdout must stay byte-identical
+    assert main(argv.split()) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+def _child_env():
     # the child imports the same package as this process, also when only
     # pytest's own pythonpath setting put it on sys.path
     src = str(Path(bitree_embed.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_package_import_leaves_jsonschema_unloaded():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, bitree_embed; print('jsonschema' in sys.modules)"],
+        capture_output=True, text=True, timeout=120, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_cli_subprocess_entrypoint():
     proc = subprocess.run(
         [sys.executable, "-m", "bitree_embed.cli", "selftest"],
-        capture_output=True, text=True, timeout=300, env=env,
+        capture_output=True, text=True, timeout=300, env=_child_env(),
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout and "FAIL" not in proc.stdout

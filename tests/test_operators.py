@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bitree_embed.counterexamples import gen_sum_of_products
 from bitree_embed.operators import (
     MassFunction,
     WeightFunction,
@@ -279,6 +280,14 @@ def test_sum_of_products_structure_validation():
     w.values[2, 2] += 0.5
     with pytest.raises(ValueError):
         w.validate_structure()
+
+
+def test_scaled_sum_of_products_keeps_its_factors():
+    w = gen_sum_of_products(4)[1]
+    scaled = w.scaled(2.0)
+    scaled.validate_structure()
+    assert scaled.kind == "sum_of_products"
+    np.testing.assert_array_equal(scaled.values, 2.0 * w.values)
 
 
 def test_exact_mode_sweeps():

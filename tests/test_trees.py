@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 
 from bitree_embed.trees import (
     SizeError,
+    ancestor_sweep,
+    bitree_sweep,
     build_bitree,
     build_tree,
+    descendant_sweep,
     down_closure,
     enumerate_down_sets,
     is_down_mask,
@@ -115,6 +118,26 @@ def test_closures_and_masks():
         for node in topo.nodes():
             should_d = any(seed_mask[b] and topo.leq(node, b) for b in topo.nodes())
             assert d[node] == should_d
+
+
+@pytest.mark.parametrize("dx,dy", [(0, 0), (0, 3), (3, 0), (2, 3)])
+@pytest.mark.parametrize("op", [np.add, np.maximum, np.logical_or])
+def test_sweep_kernel_reduces_over_ancestors_and_descendants(dx, dy, op):
+    topo = build_bitree(dx, dy)
+    rng = np.random.default_rng(dx * 10 + dy)
+    v = np.where(topo.valid_mask(), rng.uniform(size=topo.shape), 0.0)
+    if op is np.logical_or:
+        v = (v < 0.2) & topo.valid_mask()
+    up = bitree_sweep(topo, v.copy(), ancestor_sweep, op)
+    down = bitree_sweep(topo, v.copy(), descendant_sweep, op)
+    for node in topo.nodes():
+        above = [v[b] for b in topo.nodes() if topo.leq(node, b)]
+        below = [v[b] for b in topo.nodes() if topo.leq(b, node)]
+        assert up[node] == pytest.approx(op.reduce(above), rel=1e-14)
+        assert down[node] == pytest.approx(op.reduce(below), rel=1e-14)
+    # the unused slot-0 row and column stay untouched
+    assert not up[0].any() and not up[:, 0].any()
+    assert not down[0].any() and not down[:, 0].any()
 
 
 def test_enumerate_down_sets_small():
