@@ -12,7 +12,6 @@ from .trees import (
     build_bitree,
     build_tree,
     down_closure,
-    enumerate_down_sets,
     is_down_mask,
     is_up_mask,
     up_closure,

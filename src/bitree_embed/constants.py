@@ -26,6 +26,8 @@ from .operators import (
     energy_density,
     hardy_adjoint,
     hardy_forward,
+    is_exact,
+    quotient,
     suffix_rect_sums,
 )
 from .trees import (
@@ -34,23 +36,12 @@ from .trees import (
     SizeError,
     bitree_cover_lists,
     down_closure,
-    enumerate_down_sets,
     heap_lca,
 )
 
 # reference envelopes for the hereditary-to-Carleson ratio under product
 # weights; recorded next to empirical maxima, never asserted
 HC_OVER_C_REFERENCE_ENVELOPES = (13.0, 32.0)
-
-
-def _is_exact(arr: np.ndarray) -> bool:
-    return arr.dtype == object
-
-
-def _ratio(num, den):
-    if isinstance(num, float) or isinstance(den, float) or isinstance(num, np.floating) or isinstance(den, np.floating):
-        return num / den
-    return Fraction(num) / Fraction(den)
 
 
 @dataclass
@@ -110,43 +101,24 @@ def box_constant(mu: MassFunction, w: WeightFunction) -> ConstantReport:
     topo = mu.topo
     istar = hardy_adjoint(topo, mu.values)
     cume = hardy_adjoint(topo, energy_density(mu, w))
-    if _is_exact(mu.values) or _is_exact(w.values):
-        best, best_node = None, None
-        for a, b in zip(*np.nonzero(np.asarray(istar != 0))):
-            node = (int(a), int(b))
-            r = _ratio(cume[node], istar[node])
-            if best is None or r > best:
-                best, best_node = r, node
-        if best is None:
-            return ConstantReport("Box", 0, None, True, {"note": "zero mass"})
-        return ConstantReport("Box", best, {"type": "binode", "node": best_node, "topo": topo}, True, {})
-    pos = istar > 0
-    if not pos.any():
+    pos = np.nonzero(np.asarray(istar > 0))
+    if not len(pos[0]):
         return ConstantReport("Box", 0.0, None, True, {"note": "zero mass"})
-    ratios = np.where(pos, cume, 0.0) / np.where(pos, istar, 1.0)
-    node = np.unravel_index(int(np.argmax(ratios)), ratios.shape)
-    return ConstantReport(
-        "Box", float(ratios[node]), {"type": "binode", "node": tuple(node), "topo": topo}, True, {}
-    )
+    # the first largest ratio in row-major order
+    ratios = quotient(cume[pos], istar[pos])
+    k = int(np.argmax(ratios))
+    node = (int(pos[0][k]), int(pos[1][k]))
+    return ConstantReport("Box", ratios[k], {"type": "binode", "node": node, "topo": topo}, True, {})
 
 
 # ---------------------------------------------------------------------------
 # carleson
 # ---------------------------------------------------------------------------
 
-def carleson_constant(
-    mu: MassFunction,
-    w: WeightFunction,
-    method: str = "exact_mincut",
-    tol: float = 1e-12,
-) -> ConstantReport:
+def carleson_constant(mu: MassFunction, w: WeightFunction, tol: float = 1e-12) -> ConstantReport:
     topo = mu.topo
     if not np.asarray(mu.values != 0).any():
         return ConstantReport("Carleson", 0.0, None, True, {"note": "zero mass"})
-    if method == "brute_force":
-        return _carleson_brute(mu, w)
-    if method != "exact_mincut":
-        raise ValueError(f"unknown method {method!r}")
 
     # closure graph: the up-set of nodes with mass below them, with cover
     # edges to the children inside it; the covers of an up-set generate its
@@ -156,9 +128,8 @@ def carleson_constant(
     numer = [e[n] for n in nodes]
     denom = [mu.values[n] for n in nodes]
 
-    exact = _is_exact(mu.values) or _is_exact(w.values)
     lam, members, iters = dinkelbach_max_ratio(
-        numer, denom, successors, tol=0 if exact else tol
+        numer, denom, successors, tol=0 if is_exact(mu.values, w.values) else tol
     )
     # the witness is generated by the chosen nodes that carry energy or mass
     relevant = np.asarray(e != 0) | np.asarray(mu.values != 0)
@@ -171,28 +142,8 @@ def carleson_constant(
         lam,
         {"type": "downset", "mask": witness_mask, "topo": topo},
         True,
-        {"iterations": iters, "method": method, "relevant_nodes": int(np.count_nonzero(relevant))},
-    )
-
-
-def _carleson_brute(mu: MassFunction, w: WeightFunction) -> ConstantReport:
-    topo = mu.topo
-    e = energy_density(mu, w)
-    best, best_mask = None, None
-    for mask in enumerate_down_sets(topo):
-        md = (mu.values * mask).sum()
-        if md == 0:
-            # massless down-sets carry no energy either: any node below a
-            # positive descendant-sum sits above some mass point of the set
-            continue
-        r = _ratio((e * mask).sum(), md)
-        if best is None or r > best:
-            best, best_mask = r, mask
-    if best is None:
-        return ConstantReport("Carleson", 0.0, None, True, {"note": "zero mass"})
-    return ConstantReport(
-        "Carleson", best, {"type": "downset", "mask": best_mask, "topo": topo}, True,
-        {"method": "brute_force"},
+        {"iterations": iters, "method": "exact_mincut",
+         "relevant_nodes": int(np.count_nonzero(relevant))},
     )
 
 
@@ -243,9 +194,8 @@ def hereditary_constant(mu: MassFunction, w: WeightFunction) -> ConstantReport:
     denom = masses.tolist() + [0] * len(iu)
     successors = [()] * n + list(zip(iu.tolist(), ju.tolist()))
 
-    exact = _is_exact(mu.values) or _is_exact(w.values)
     value, members, iters = dinkelbach_max_ratio(
-        numer, denom, successors, tol=0 if exact else 1e-12
+        numer, denom, successors, tol=0 if is_exact(mu.values, w.values) else 1e-12
     )
     mask = np.zeros(topo.shape, dtype=bool)
     for i in range(n):

@@ -82,15 +82,11 @@ class CornerFamily:
         return t + (self.corner_atom if include_atom else 0)
 
     def _clipped_staircase(self, cap_a: int, cap_b: int) -> list[tuple[int, int]]:
-        rects = [(min(a, cap_a), min(b, cap_b)) for a, b in self.base]
-        rects = [r for r in rects if r[0] >= 0 and r[1] >= 0]
-        keep = []
-        for r in rects:
-            if not any(o != r and o[0] >= r[0] and o[1] >= r[1] for o in rects):
-                keep.append(r)
-        keep = sorted(set(keep))
+        rects = {(min(a, cap_a), min(b, cap_b)) for a, b in self.base}
         out = []
-        for r in keep:  # p ascending; drop dominated q
+        # p ascending: each rectangle drops the ones before it that it
+        # dominates, leaving the maximal ones
+        for r in sorted(r for r in rects if r[0] >= 0 and r[1] >= 0):
             while out and out[-1][1] <= r[1]:
                 out.pop()
             out.append(r)

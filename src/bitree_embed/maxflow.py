@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
+
+from .operators import quotient
 
 
 class SolverError(RuntimeError):
@@ -142,7 +143,7 @@ def dinkelbach_max_ratio(numer: Sequence, denom: Sequence, successors, tol=0.0, 
     den_full = sum(denom)
     if den_full == 0:
         return 0, full, 0
-    lam = num_full / den_full if isinstance(num_full, float) or isinstance(den_full, float) else Fraction(num_full, den_full)
+    lam = quotient(num_full, den_full)
     best = full
     for k in range(1, max_iter + 1):
         weights = [numer[i] - lam * denom[i] for i in range(n)]
@@ -155,7 +156,7 @@ def dinkelbach_max_ratio(numer: Sequence, denom: Sequence, successors, tol=0.0, 
         if den_s == 0:
             # cannot happen for energy/mass closures; guard against bad input
             raise SolverError("closure with positive surplus has zero denominator")
-        new_lam = num_s / den_s if isinstance(num_s, float) or isinstance(den_s, float) else Fraction(num_s, den_s)
+        new_lam = quotient(num_s, den_s)
         if new_lam <= lam:
             return lam, best, k
         lam, best = new_lam, members

@@ -4,33 +4,20 @@ embedding-versus-maximal equivalence, and flow-based sparse selection."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .constants import carleson_constant, embedding_constant
 from .maxflow import FlowNetwork
-from .operators import MassFunction, WeightFunction, hardy_adjoint
+from .operators import MassFunction, WeightFunction, hardy_adjoint, is_exact, quotient
 from .trees import BiTreeTopology, ancestor_sweep, bitree_sweep, down_closure
 
 
-def _safe_avg(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    if num.dtype == object or den.dtype == object:
-        out = np.zeros(num.shape, dtype=object)
-        for ix, iy in zip(*np.nonzero(np.asarray(den != 0))):
-            out[ix, iy] = Fraction(num[ix, iy]) / Fraction(den[ix, iy])
-        return out
-    pos = den > 0
-    return np.where(pos, num, 0.0) / np.where(pos, den, 1.0)
-
-
 def averages(mu: MassFunction, psi: np.ndarray) -> np.ndarray:
-    """Per-node mass averages of psi: descendant-sum(psi*mu)/descendant-sum(mu),
+    """Per-node mass averages of |psi|: descendant-sum(|psi|*mu)/descendant-sum(mu),
     zero where the node carries no mass."""
     topo = mu.topo
-    num = hardy_adjoint(topo, np.abs(psi) * mu.values if psi.dtype != object else abs(psi) * mu.values)
-    den = hardy_adjoint(topo, mu.values)
-    return _safe_avg(num, den)
+    return quotient(hardy_adjoint(topo, np.abs(psi) * mu.values), hardy_adjoint(topo, mu.values))
 
 
 def maximal_function(mu: MassFunction, psi: np.ndarray) -> np.ndarray:
@@ -59,7 +46,6 @@ def extremal_weight(mu: MassFunction, psi: np.ndarray, order=None):
         raise ValueError("psi must be nonnegative")
     if not np.asarray((psi != 0) & (mu.values != 0)).any():
         raise ValueError("psi must not vanish mu-almost everywhere")
-    exact = mu.values.dtype == object or np.asarray(psi).dtype == object
     avg = averages(mu, psi)
     mfun = bitree_sweep(topo, avg.copy(), ancestor_sweep, np.maximum)
     istar_mu = hardy_adjoint(topo, mu.values)
@@ -69,12 +55,12 @@ def extremal_weight(mu: MassFunction, psi: np.ndarray, order=None):
     if order is None:
         order = [n for n in topo.nodes()]
     used = np.zeros(topo.shape, dtype=bool)
-    wv = topo.zeros(dtype=object if exact else np.float64)
+    wv = topo.zeros(dtype=avg.dtype)
     for alpha in order:
         if istar_psimu[alpha] == 0:
             continue
         target = avg[alpha]
-        claimed = 0 if exact else 0.0
+        claimed = 0
         got = False
         for omega in supp:
             if used[omega] or not topo.leq(omega, alpha):
@@ -85,7 +71,7 @@ def extremal_weight(mu: MassFunction, psi: np.ndarray, order=None):
                 got = True
         if got and claimed != 0:
             d = istar_mu[alpha]
-            wv[alpha] = Fraction(claimed) / (Fraction(d) * d) if exact else claimed / (d * d)
+            wv[alpha] = quotient(claimed, d * d)
     w = WeightFunction.general(topo, wv)
     lhs = (mfun * mfun * mu.values).sum()
     rhs = (wv * istar_psimu * istar_psimu).sum()
@@ -208,8 +194,7 @@ def sparse_selection(
     nq, ns = len(collection), len(supp)
     s, t = nq + ns, nq + ns + 1
     net = FlowNetwork(nq + ns + 2)
-    exact = mu.values.dtype == object
-    total = sum(demands) if demands else (0 if exact else 0.0)
+    total = sum(demands)
     inf_cap = total + 1
     demand_edges = []
     for i, d in enumerate(demands):
@@ -223,10 +208,10 @@ def sparse_selection(
         net.add_edge(nq + j, t, mu.values[node])
     flow = net.max_flow(s, t)
 
-    slack = 0 if exact else feas_tol * max(1.0, float(total))
+    slack = 0 if is_exact(mu.values) else feas_tol * max(1.0, float(total))
     if flow >= total - slack:
         assignment = {}
-        per_total = [0 * total for _ in collection] if exact else [0.0] * len(collection)
+        per_total = [0 * total] * len(collection)
         for (i, j), e in assign_edges.items():
             sent = net.cap[e ^ 1]  # reverse capacity equals flow pushed
             if sent > 0:

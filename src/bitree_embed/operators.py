@@ -2,7 +2,11 @@
 truncations, and the energy functionals built from them.
 
 All operators accept float64 arrays and, for exact certification at oracle
-scale, object-dtype arrays holding ints or ``fractions.Fraction``.
+scale, object-dtype arrays holding ints or ``fractions.Fraction``.  The
+number kind is decided here and nowhere else: ``quotient`` divides in the
+arithmetic of its operands (exact for ints and Fractions, so an int-valued
+grid never falls into int/int true division), and ``is_exact`` tells a
+caller whether to ask for a zero tolerance.
 
 The sums run on the in-place per-axis sweep kernel of ``trees``
 (``ancestor_sweep``/``descendant_sweep`` with ``np.add``).  ``tree_*_sum``
@@ -16,6 +20,8 @@ additions in the same order either way, so results are bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from numbers import Rational
 from typing import Any
 
 import numpy as np
@@ -76,6 +82,37 @@ def hardy_adjoint(topo: BiTreeTopology, values: np.ndarray, out: np.ndarray | No
 
 
 # ---------------------------------------------------------------------------
+# the number kind
+# ---------------------------------------------------------------------------
+
+def is_exact(*grids) -> bool:
+    """True when any grid holds exact numbers (object dtype: ints or Fractions)."""
+    return any(np.asarray(g).dtype == object for g in grids)
+
+
+def quotient(num, den):
+    """num / den in the arithmetic of the operands.
+
+    Scalars: ``num / Fraction(den)``, an exact ``Fraction`` for int and
+    Fraction operands and the same float as ``num / den`` for a float
+    numerator; a NaN or infinite denominator raises.  Grids: the elementwise
+    quotient where den > 0 and 0 elsewhere; an object-dtype denominator is
+    lifted to ``Fraction`` at those entries only.
+    """
+    if np.ndim(num) == 0 and np.ndim(den) == 0:
+        return num / Fraction(den)
+    num, den = np.asarray(num), np.asarray(den)
+    pos = np.asarray(den > 0)
+    d = den[pos]
+    if d.dtype == object:
+        d = np.array([Fraction(x) for x in d], dtype=object)
+    q = num[pos] / d
+    out = np.zeros(den.shape, dtype=q.dtype)
+    out[pos] = q
+    return out
+
+
+# ---------------------------------------------------------------------------
 # masses and weights
 # ---------------------------------------------------------------------------
 
@@ -101,16 +138,9 @@ class MassFunction:
         return cls(topo, topo.zeros(dtype))
 
     @classmethod
-    def from_atoms(cls, topo: BiTreeTopology, atoms, dtype=np.float64) -> "MassFunction":
-        v = topo.zeros(dtype)
-        for node, mass in atoms:
-            v[node] += mass
-        return cls(topo, v)
-
-    @classmethod
     def uniform_boundary(cls, topo: BiTreeTopology, cell_mass=1.0) -> "MassFunction":
-        dtype = np.float64 if isinstance(cell_mass, float) else object
-        v = topo.zeros(dtype)
+        # an int or Fraction cell mass gives an exact grid
+        v = topo.zeros(object if isinstance(cell_mass, Rational) else np.float64)
         lx, ly = topo.tree_x.leaf_start, topo.tree_y.leaf_start
         v[lx:, ly:] = cell_mass
         return cls(topo, v)
@@ -118,15 +148,6 @@ class MassFunction:
     @property
     def total_mass(self):
         return self.values.sum()
-
-    def support_mask(self) -> np.ndarray:
-        return self.values != 0
-
-    def is_boundary_supported(self) -> bool:
-        lx, ly = self.topo.tree_x.leaf_start, self.topo.tree_y.leaf_start
-        v = self.values.copy()
-        v[lx:, ly:] = 0
-        return not np.any(v != 0)
 
     def restrict(self, mask: np.ndarray) -> "MassFunction":
         return MassFunction(self.topo, self.values * mask)

@@ -205,8 +205,7 @@ def _task_box(inst, params):
 
 def _task_carleson(inst, params):
     mu, w = _need_dense(inst)
-    return carleson_constant(mu, w, method=params.get("method", "exact_mincut"),
-                             tol=params.get("tol", 1e-12)).to_json()
+    return carleson_constant(mu, w, tol=params.get("tol", 1e-12)).to_json()
 
 
 def _task_hereditary(inst, params):

@@ -25,7 +25,7 @@ and up-closures below, ``np.maximum`` the maximal function of ``maximal``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -181,9 +181,6 @@ class BiTreeTopology:
         out += [(ix, c) for c in self.tree_y.children(iy)]
         return out
 
-    def is_boundary(self, node: tuple[int, int]) -> bool:
-        return node[0] >= self.tree_x.leaf_start and node[1] >= self.tree_y.leaf_start
-
     def node_of_gens(self, gen_x: int, off_x: int, gen_y: int, off_y: int) -> tuple[int, int]:
         return (self.tree_x.index_of(gen_x, off_x), self.tree_y.index_of(gen_y, off_y))
 
@@ -321,65 +318,8 @@ class UpSet:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration of down-sets (oracle scale)
+# Cover lists
 # ---------------------------------------------------------------------------
-
-ENUMERATION_CAP = 25
-
-
-def iter_ideal_bitmasks(children_of: Sequence[Sequence[int]]) -> Iterator[int]:
-    """Yield every order ideal of a finite poset as a bitmask, empty set included.
-
-    ``children_of[i]`` lists the covers of node ``i`` from below; a set is an
-    ideal iff membership of ``i`` forces membership of all its covers.  Nodes
-    may be numbered in any order; they are visited minimal-first, so every
-    cover is decided before the nodes above it.
-    """
-    n = len(children_of)
-    # process nodes minimal-first so covers are decided before their parents
-    order = _minimal_first_order(children_of)
-    remap = {node: pos for pos, node in enumerate(order)}
-    child_masks = [0] * n
-    for pos, node in enumerate(order):
-        for c in children_of[node]:
-            child_masks[pos] |= 1 << remap[c]
-
-    def rec(i: int, acc: int) -> Iterator[int]:
-        if i == n:
-            yield acc
-            return
-        yield from rec(i + 1, acc)
-        if acc & child_masks[i] == child_masks[i]:
-            yield from rec(i + 1, acc | (1 << i))
-
-    for m in rec(0, 0):
-        out = 0
-        for pos in range(n):
-            if m >> pos & 1:
-                out |= 1 << order[pos]
-        yield out
-
-
-def _minimal_first_order(children_of: Sequence[Sequence[int]]) -> list[int]:
-    n = len(children_of)
-    indeg = [len(ch) for ch in children_of]
-    above: list[list[int]] = [[] for _ in range(n)]
-    for i, ch in enumerate(children_of):
-        for c in ch:
-            above[c].append(i)
-    ready = [i for i in range(n) if indeg[i] == 0]
-    order = []
-    while ready:
-        i = ready.pop()
-        order.append(i)
-        for p in above[i]:
-            indeg[p] -= 1
-            if indeg[p] == 0:
-                ready.append(p)
-    if len(order) != n:
-        raise ValueError("cover relation has a cycle")
-    return order
-
 
 def bitree_cover_lists(
     topo: BiTreeTopology, mask: np.ndarray
@@ -391,19 +331,3 @@ def bitree_cover_lists(
     pos = {node: i for i, node in enumerate(nodes)}
     children = [[pos[c] for c in topo.children(node) if c in pos] for node in nodes]
     return nodes, children
-
-
-def enumerate_down_sets(topo: BiTreeTopology) -> Iterator[np.ndarray]:
-    """All down-sets of a small bi-tree as boolean masks (including empty)."""
-    if topo.node_count > ENUMERATION_CAP:
-        raise SizeError(
-            f"down-set enumeration capped at {ENUMERATION_CAP} bi-nodes, "
-            f"instance has {topo.node_count}"
-        )
-    nodes, children = bitree_cover_lists(topo, topo.valid_mask())
-    for bits in iter_ideal_bitmasks(children):
-        mask = np.zeros(topo.shape, dtype=bool)
-        for i, node in enumerate(nodes):
-            if bits >> i & 1:
-                mask[node] = True
-        yield mask

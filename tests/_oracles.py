@@ -7,11 +7,19 @@ in the package are checked against a genuinely different computation.
 
 from __future__ import annotations
 
+from typing import Iterator, Sequence
+
 import numpy as np
 
 from bitree_embed.maxflow import dinkelbach_max_ratio
-from bitree_embed.operators import MassFunction, energy_density, hardy_forward
-from bitree_embed.trees import BiTreeTopology, down_closure, up_closure
+from bitree_embed.operators import MassFunction, energy_density, hardy_forward, quotient
+from bitree_embed.trees import (
+    BiTreeTopology,
+    SizeError,
+    bitree_cover_lists,
+    down_closure,
+    up_closure,
+)
 
 
 def brute_forward(topo: BiTreeTopology, vals: np.ndarray) -> np.ndarray:
@@ -109,6 +117,97 @@ def brute_carleson(mu, w):
         if md > 0:
             best = max(best, sum(e[n] for n in members) / md)
     return best
+
+
+ENUMERATION_CAP = 25
+
+
+def iter_ideal_bitmasks(children_of: Sequence[Sequence[int]]) -> Iterator[int]:
+    """Yield every order ideal of a finite poset as a bitmask, empty set included.
+
+    ``children_of[i]`` lists the covers of node ``i`` from below; a set is an
+    ideal iff membership of ``i`` forces membership of all its covers.  Nodes
+    may be numbered in any order; they are visited minimal-first, so every
+    cover is decided before the nodes above it.
+    """
+    n = len(children_of)
+    order = _minimal_first_order(children_of)
+    remap = {node: pos for pos, node in enumerate(order)}
+    child_masks = [0] * n
+    for pos, node in enumerate(order):
+        for c in children_of[node]:
+            child_masks[pos] |= 1 << remap[c]
+
+    def rec(i: int, acc: int) -> Iterator[int]:
+        if i == n:
+            yield acc
+            return
+        yield from rec(i + 1, acc)
+        if acc & child_masks[i] == child_masks[i]:
+            yield from rec(i + 1, acc | (1 << i))
+
+    for m in rec(0, 0):
+        out = 0
+        for pos in range(n):
+            if m >> pos & 1:
+                out |= 1 << order[pos]
+        yield out
+
+
+def _minimal_first_order(children_of: Sequence[Sequence[int]]) -> list[int]:
+    n = len(children_of)
+    indeg = [len(ch) for ch in children_of]
+    above: list[list[int]] = [[] for _ in range(n)]
+    for i, ch in enumerate(children_of):
+        for c in ch:
+            above[c].append(i)
+    ready = [i for i in range(n) if indeg[i] == 0]
+    order = []
+    while ready:
+        i = ready.pop()
+        order.append(i)
+        for p in above[i]:
+            indeg[p] -= 1
+            if indeg[p] == 0:
+                ready.append(p)
+    if len(order) != n:
+        raise ValueError("cover relation has a cycle")
+    return order
+
+
+def enumerate_down_sets(topo: BiTreeTopology) -> Iterator[np.ndarray]:
+    """All down-sets of a small bi-tree as boolean masks (including empty)."""
+    if topo.node_count > ENUMERATION_CAP:
+        raise SizeError(
+            f"down-set enumeration capped at {ENUMERATION_CAP} bi-nodes, "
+            f"instance has {topo.node_count}"
+        )
+    nodes, children = bitree_cover_lists(topo, topo.valid_mask())
+    for bits in iter_ideal_bitmasks(children):
+        mask = np.zeros(topo.shape, dtype=bool)
+        for i, node in enumerate(nodes):
+            if bits >> i & 1:
+                mask[node] = True
+        yield mask
+
+
+def enumeration_carleson(mu, w):
+    """Max ratio over every down-set of a small bi-tree (up to
+    ``ENUMERATION_CAP`` nodes), exact on exact grids: the referee for the
+    min-cut solver.  Returns (value, witness mask); (0.0, None) without mass."""
+    e = energy_density(mu, w)
+    best_num, best_md, best_mask = 0, 0, None
+    for mask in enumerate_down_sets(mu.topo):
+        md = (mu.values * mask).sum()
+        if md == 0:
+            # massless down-sets carry no energy either: any node below a
+            # positive descendant-sum sits above some mass point of the set
+            continue
+        num = (e * mask).sum()
+        # num / md > best_num / best_md, compared without dividing
+        if best_mask is None or num * best_md > best_num * md:
+            best_num, best_md, best_mask = num, md, mask
+    return (0.0, None) if best_mask is None else (quotient(best_num, best_md), best_mask)
 
 
 def transitive_carleson(mu, w):

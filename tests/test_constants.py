@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from bitree_embed.instances import (
     random_weight,
     small_oracle_instance,
 )
+from bitree_embed.maximal import averages, extremal_weight
 from bitree_embed.operators import (
     MassFunction,
     WeightFunction,
@@ -39,6 +41,7 @@ from _oracles import (
     brute_carleson,
     brute_hereditary,
     dense_embedding_eig,
+    enumeration_carleson,
     kernel_hereditary,
     loop_lca_kernel,
     transitive_carleson,
@@ -68,6 +71,62 @@ def test_zero_mass_reports():
         assert rep.witness is None
 
 
+def _int_fraction_float_instance():
+    """One depth-(2,1) instance as an int-valued object grid, the same
+    numbers as Fractions, and the same numbers as floats."""
+    rng = np.random.default_rng(11)
+    topo = build_bitree(2, 1)
+    mv, wv, psi = (topo.zeros(dtype=object) for _ in range(3))
+    for node in topo.nodes():
+        mv[node] = int(rng.integers(0, 4))
+        wv[node] = int(rng.integers(1, 5))
+        psi[node] = int(rng.integers(0, 6))
+    grids = {
+        "int": (mv, wv, psi),
+        "fraction": tuple(np.vectorize(Fraction, otypes=[object])(g) for g in (mv, wv, psi)),
+        "float": tuple(g.astype(np.float64) for g in (mv, wv, psi)),
+    }
+    return {kind: (MassFunction(topo, m), WeightFunction.general(topo, w), p)
+            for kind, (m, w, p) in grids.items()}
+
+
+def _exact_mode_values(mu, w, psi):
+    avg = averages(mu, psi)
+    ew, audit = extremal_weight(mu, psi)
+    return {
+        "box": [box_constant(mu, w).value],
+        "carleson": [carleson_constant(mu, w).value],
+        "hereditary": [hereditary_constant(mu, w).value],
+        "averages": list(avg[np.nonzero(np.asarray(avg != 0))]),
+        "extremal_weight": list(ew.values[np.nonzero(np.asarray(ew.values != 0))]),
+        "identity_lhs": [audit["identity_lhs"]],
+    }
+
+
+def test_int_valued_object_grids_stay_exact():
+    # integer-valued object grids must never fall into int/int true division
+    inst = _int_fraction_float_instance()
+    got = _exact_mode_values(*inst["int"])
+    assert got == _exact_mode_values(*inst["fraction"])
+    flt = _exact_mode_values(*inst["float"])
+    for name, values in got.items():
+        assert values and all(type(v) is Fraction for v in values), name
+        assert len(values) == len(flt[name]), name
+        for v, f in zip(values, flt[name]):
+            assert abs(float(v) - f) <= 1e-12 * max(1.0, abs(f)), name
+
+
+@pytest.mark.parametrize("dtype", [np.float64, object])
+def test_box_witness_without_energy_is_a_node_with_mass(dtype):
+    # every ratio is 0: the witness is the first node with mass below it,
+    # in float and exact mode alike
+    topo = build_bitree(1, 1)
+    mv = topo.zeros(dtype); mv[2, 2] = 1
+    rep = box_constant(MassFunction(topo, mv), WeightFunction.general(topo, topo.zeros(dtype)))
+    assert rep.value == 0 and rep.witness["node"] == (1, 1)
+    assert rep.to_json()["witness"] == {"type": "binode", "node": [0, 0, 0, 0]}
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_box_matches_brute_scan(seed):
     _, mu, w = small_oracle_instance(seed)
@@ -79,8 +138,8 @@ def test_box_matches_brute_scan(seed):
 @pytest.mark.parametrize("seed", range(12))
 def test_carleson_mincut_matches_enumeration(seed):
     _, mu, w = small_oracle_instance(seed)
-    got = carleson_constant(mu, w, method="exact_mincut").value
-    want = carleson_constant(mu, w, method="brute_force").value
+    got = carleson_constant(mu, w).value
+    want, _ = enumeration_carleson(mu, w)
     assert abs(float(got) - float(want)) <= 1e-9 * max(1.0, float(want))
 
 

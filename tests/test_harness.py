@@ -10,8 +10,10 @@ import pytest
 
 import bitree_embed
 from bitree_embed.cli import main
+from bitree_embed.constants import carleson_constant
 from bitree_embed.counterexamples import CornerFamily
 from bitree_embed.maxflow import SolverError
+from bitree_embed.operators import MassFunction, WeightFunction
 from bitree_embed.scenarios import (
     TASK_REGISTRY,
     ScenarioError,
@@ -22,6 +24,7 @@ from bitree_embed.scenarios import (
     sweep,
     validate_scenario,
 )
+from bitree_embed.trees import build_bitree
 
 
 def scenario(instance, tasks):
@@ -364,12 +367,32 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
     ("sweep_rec_vs_embedding_64_256.json", "sweep --experiment rec_vs_embedding --N 64 256"),
     ("sweep_sum_of_products_4_8.csv", "sweep --experiment sum_of_products --N 4 8 --format csv"),
     ("selftest.txt", "selftest"),
+    ("constants_product_3_3.json", "constants --depth 3 3 --seed 0 --weight product"),
+    ("constants_general_3_3.json", "constants --depth 3 3 --seed 1 --weight general"),
+    ("constants_hooked_3_2.json", "constants --depth 3 2 --seed 2 --weight hooked"),
+    ("constants_upset_indicator_2_3.json",
+     "constants --depth 2 3 --seed 3 --weight upset_indicator --mass all_nodes"),
+    ("verify_2_2_count_10.json", "verify --depth 2 2 --seed 0 --count 10"),
 ])
 def test_golden_outputs(name, argv, capsys):
     # recorded from the command line before the family quantities and the
-    # sweep kernel were consolidated; stdout must stay byte-identical
+    # sweep kernel were consolidated, the constants and verify reports before
+    # the exact and float arithmetic were unified; stdout must stay
+    # byte-identical
     assert main(argv.split()) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+def test_enumeration_solver_left_the_library():
+    with pytest.raises(SystemExit) as exc:
+        main(["constants", "--method", "brute_force"])
+    assert exc.value.code == 1
+    topo = build_bitree(1, 1)
+    mu = MassFunction.uniform_boundary(topo)
+    with pytest.raises(TypeError):
+        carleson_constant(mu, WeightFunction.constant(topo), method="brute_force")
+    assert not hasattr(bitree_embed, "enumerate_down_sets")
+    assert "enumerate_down_sets" not in bitree_embed.__all__
 
 
 def _child_env():

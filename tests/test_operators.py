@@ -16,6 +16,7 @@ from bitree_embed.operators import (
     hardy_adjoint,
     hardy_forward,
     potential,
+    quotient,
     tree_ancestor_sum,
     tree_descendant_sum,
     truncated_potential,
@@ -366,3 +367,23 @@ def test_mass_validation():
     mv2 = np.ones(topo.shape)
     with pytest.raises(ValueError):
         MassFunction(topo, mv2).validate()
+
+
+def test_quotient_on_floats_is_plain_division():
+    rng = np.random.default_rng(3)
+    num = rng.uniform(-1e3, 1e3, 4000) * 10.0 ** rng.integers(-30, 30, 4000)
+    den = rng.uniform(0.0, 1e3, 4000) * 10.0 ** rng.integers(-30, 30, 4000)
+    den[::7] = 0.0
+    pos = den > 0
+    got = quotient(num, den)
+    assert got.dtype == np.float64
+    assert np.array_equal(got[pos].view(np.int64), (num[pos] / den[pos]).view(np.int64))
+    assert not got[~pos].any()
+    for a, b in zip(num[pos][:500], den[pos][:500]):
+        for x, y in ((float(a), float(b)), (a, b), (float(a), b), (a, float(b))):
+            assert float(quotient(x, y)).hex() == float(x / y).hex()
+    # exact operands give an exact quotient, never int/int true division
+    assert quotient(1, 3) == Fraction(1, 3)
+    assert type(quotient(6, 3)) is Fraction
+    grid = quotient(np.array([1, 2, 5], dtype=object), np.array([3, 0, 5], dtype=object))
+    assert list(grid) == [Fraction(1, 3), 0, 1] and type(grid[2]) is Fraction

@@ -13,12 +13,12 @@ from bitree_embed.trees import (
     build_tree,
     descendant_sweep,
     down_closure,
-    enumerate_down_sets,
     is_down_mask,
     is_up_mask,
-    iter_ideal_bitmasks,
     up_closure,
 )
+
+from _oracles import enumerate_down_sets, iter_ideal_bitmasks
 
 
 def test_node_counts():
