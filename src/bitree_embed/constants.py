@@ -124,7 +124,8 @@ def carleson_constant(mu: MassFunction, w: WeightFunction, tol: float = 1e-12) -
     # edges to the children inside it; the covers of an up-set generate its
     # order, and the nodes outside carry neither energy nor mass
     e = energy_density(mu, w)
-    nodes, successors = bitree_cover_lists(topo, np.asarray(hardy_adjoint(topo, mu.values) > 0))
+    nodes, children = bitree_cover_lists(topo, np.asarray(hardy_adjoint(topo, mu.values) > 0))
+    successors = [[(j, None) for j in ch] for ch in children]
     numer = [e[n] for n in nodes]
     denom = [mu.values[n] for n in nodes]
 
@@ -170,12 +171,13 @@ def lca_kernel(topo: BiTreeTopology, nodes: list[tuple[int, int]], w: WeightFunc
 def hereditary_constant(mu: MassFunction, w: WeightFunction) -> ConstantReport:
     """max over subsets S of supp mu of m_S^T K m_S / m(S), K the LCA kernel.
 
-    Solved exactly as a selection problem (Picard 1976) by the closure ratio
-    engine: one item per support point i (numerator 0, denominator m_i) and
-    one per pair i <= j (numerator (2 - delta_ij) K_ij m_i m_j, denominator 0)
-    that forces both points.  All numerators are >= 0, so the best closure
-    over a point set S takes every pair inside S and its ratio is exactly the
-    restricted energy over the restricted mass.
+    A weighted densest-subgraph problem, solved exactly on Goldberg's (1984)
+    cut network by the closure ratio engine: one item per support point i,
+    with numerator d_i = sum_j c_ij and denominator m_i, where
+    c_ij = K_ij m_i m_j, and a priced arc i -> j of cost c_ij for every
+    j != i.  Over a point set S the numerators sum to the c_ij with i in S,
+    and the arcs leaving S cost those with j outside S, so the engine's
+    numerator is exactly sum over i, j in S of c_ij = m_S^T K m_S.
 
     Raises SizeError when the support's dense kernel would exceed the dense
     cap (support^2 > ``DEFAULT_DENSE_CAP``).
@@ -187,15 +189,14 @@ def hereditary_constant(mu: MassFunction, w: WeightFunction) -> ConstantReport:
         return ConstantReport("HereditaryCarleson", 0.0, None, True, {"note": "zero mass"})
     n = len(supp)
     masses = mu.values[idx]
-    kernel = lca_kernel(topo, supp, w)
-    iu, ju = np.triu_indices(n)
-    pair_numer = np.where(iu == ju, 1, 2) * kernel[iu, ju] * masses[iu] * masses[ju]
-    numer = [0] * n + pair_numer.tolist()
-    denom = masses.tolist() + [0] * len(iu)
-    successors = [()] * n + list(zip(iu.tolist(), ju.tolist()))
+    # the outer product keeps c symmetric in floating point
+    c = (lca_kernel(topo, supp, w) * np.outer(masses, masses)).tolist()
+    numer = [sum(row) for row in c]
+    successors = [[(j, cij) for j, cij in enumerate(row) if j != i and cij > 0]
+                  for i, row in enumerate(c)]
 
     value, members, iters = dinkelbach_max_ratio(
-        numer, denom, successors, tol=0 if is_exact(mu.values, w.values) else 1e-12
+        numer, masses.tolist(), successors, tol=0 if is_exact(mu.values, w.values) else 1e-12
     )
     mask = np.zeros(topo.shape, dtype=bool)
     for i in range(n):
@@ -357,11 +358,13 @@ def _chain_leq(a: float, b: float, slack: float) -> bool:
 
 
 def verify_chain(mu: MassFunction, w: WeightFunction, slack: float = 1e-9) -> ChainReport:
-    box = box_constant(mu, w)
-    car = carleson_constant(mu, w)
-    her = hereditary_constant(mu, w)
-    emb = embedding_constant(mu, w)
+    return chain_of(box_constant(mu, w), carleson_constant(mu, w),
+                    hereditary_constant(mu, w), embedding_constant(mu, w), slack)
 
+
+def chain_of(box: ConstantReport, car: ConstantReport, her: ConstantReport,
+             emb: ConstantReport, slack: float = 1e-9) -> ChainReport:
+    """The chain check on four reports computed at ``verify_chain``'s defaults."""
     vals = [float(box.value), float(car.value), float(her.value), float(emb.value)]
     names = ["Box", "Carleson", "HereditaryCarleson", "CarlesonEmbedding"]
     violations = []

@@ -4,7 +4,8 @@ The flow solver is a plain Dinic implementation over adjacency lists.  It is
 exact for ``Fraction``/int capacities, which is what certifies the Carleson
 witnesses in rational mode.  The Carleson graphs are the cover edges (at most
 four per node) on the ancestors of the mass support: about 3.6k nodes at
-depth (5,5) and 235k at depth (8,8).
+depth (5,5) and 235k at depth (8,8).  The hereditary networks have one node
+per support point and a priced arc per ordered pair of points.
 """
 
 from __future__ import annotations
@@ -14,6 +15,9 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .operators import quotient
+
+
+MAX_ROUNDS = 200  # Dinkelbach rounds; the solved instances settle in a few
 
 
 class SolverError(RuntimeError):
@@ -97,11 +101,13 @@ class FlowNetwork:
         return seen
 
 
-def max_weight_closure(weights: Sequence, successors: Sequence[Sequence[int]]):
-    """Maximum-weight subset closed under following successor edges.
+def max_weight_closure(weights: Sequence, successors: Sequence[Sequence[tuple]]):
+    """Maximum over subsets S of sum(weights[S]) minus the priced arcs leaving S.
 
-    Returns (value, member flags).  The empty set is always feasible, so the
-    value is >= 0.
+    ``successors[i]`` lists arcs ``(j, cost)``: ``cost=None`` forbids i in S
+    with j outside S, any other cost >= 0 is charged when i is in S and j is
+    not.  Returns (value, member flags), S the source side of a minimum cut;
+    the empty set is feasible, so the value is >= 0.
     """
     n = len(weights)
     s, t = n, n + 1
@@ -119,8 +125,8 @@ def max_weight_closure(weights: Sequence, successors: Sequence[Sequence[int]]):
         elif p < 0:
             net.add_edge(i, t, -p)
     for i, succ in enumerate(successors):
-        for j in succ:
-            net.add_edge(i, j, inf_cap)
+        for j, cost in succ:
+            net.add_edge(i, j, inf_cap if cost is None else cost)
     flow = net.max_flow(s, t)
     side = net.min_cut_source_side(s)
     members = side[:n]
@@ -128,12 +134,12 @@ def max_weight_closure(weights: Sequence, successors: Sequence[Sequence[int]]):
     return value, members
 
 
-def dinkelbach_max_ratio(numer: Sequence, denom: Sequence, successors, tol=0.0, max_iter: int = 200):
-    """Maximize sum(numer[S]) / sum(denom[S]) over nonempty closed S with
-    positive denominator, by Dinkelbach iteration on the closure problem.
-
-    numer >= 0, denom >= 0 elementwise; assumes every closed set with positive
-    numerator has positive denominator.  Returns (ratio, members, iterations).
+def dinkelbach_max_ratio(numer: Sequence, denom: Sequence, successors, tol=0.0):
+    """Maximize N(S) / sum(denom[S]) over nonempty feasible S with positive
+    denominator, by Dinkelbach iteration on ``max_weight_closure`` (whose arc
+    format ``successors`` uses); N(S) is sum(numer[S]) minus the priced arcs
+    leaving S.  numer, denom and costs >= 0; assumes every feasible S with
+    positive N(S) has positive denominator.  Returns (ratio, members, iterations).
     """
     n = len(numer)
     if n == 0:
@@ -145,13 +151,16 @@ def dinkelbach_max_ratio(numer: Sequence, denom: Sequence, successors, tol=0.0, 
         return 0, full, 0
     lam = quotient(num_full, den_full)
     best = full
-    for k in range(1, max_iter + 1):
+    for k in range(1, MAX_ROUNDS + 1):
         weights = [numer[i] - lam * denom[i] for i in range(n)]
         surplus, members = max_weight_closure(weights, successors)
         scale = sum(numer) + lam * sum(denom)
         if surplus <= tol * scale:
             return lam, best, k
-        num_s = sum(numer[i] for i in range(n) if members[i])
+        num_s = sum(numer[i] for i in range(n) if members[i]) - sum(
+            cost for i in range(n) if members[i]
+            for j, cost in successors[i] if cost is not None and not members[j]
+        )
         den_s = sum(denom[i] for i in range(n) if members[i])
         if den_s == 0:
             # cannot happen for energy/mass closures; guard against bad input
@@ -160,4 +169,4 @@ def dinkelbach_max_ratio(numer: Sequence, denom: Sequence, successors, tol=0.0, 
         if new_lam <= lam:
             return lam, best, k
         lam, best = new_lam, members
-    raise SolverError(f"ratio iteration did not settle in {max_iter} rounds")
+    raise SolverError(f"ratio iteration did not settle in {MAX_ROUNDS} rounds")

@@ -12,6 +12,8 @@ from .maxflow import FlowNetwork
 from .operators import MassFunction, WeightFunction, hardy_adjoint, is_exact, quotient
 from .trees import BiTreeTopology, ancestor_sweep, bitree_sweep, down_closure
 
+FEAS_TOL = 1e-9  # float packing counts as feasible within this share of the demand
+
 
 def averages(mu: MassFunction, psi: np.ndarray) -> np.ndarray:
     """Per-node mass averages of |psi|: descendant-sum(|psi|*mu)/descendant-sum(mu),
@@ -180,7 +182,6 @@ def sparse_selection(
     mu: MassFunction,
     collection: list[tuple[int, int]],
     weights,
-    feas_tol: float = 1e-9,
 ) -> SparseSelection:
     """Fractional disjoint sub-masses E_Q with mu(E_Q) >= w(Q) mu(Q)^2.
 
@@ -208,7 +209,7 @@ def sparse_selection(
         net.add_edge(nq + j, t, mu.values[node])
     flow = net.max_flow(s, t)
 
-    slack = 0 if is_exact(mu.values) else feas_tol * max(1.0, float(total))
+    slack = 0 if is_exact(mu.values) else FEAS_TOL * max(1.0, float(total))
     if flow >= total - slack:
         assignment = {}
         per_total = [0 * total] * len(collection)

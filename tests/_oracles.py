@@ -228,7 +228,7 @@ def transitive_carleson(mu, w):
         for a, b in zip(*np.nonzero(up_closure(topo, single) & relevant)):
             i = pos[(int(a), int(b))]
             if i != j:
-                successors[i].append(j)
+                successors[i].append((j, None))
     exact = mu.values.dtype == object or w.values.dtype == object
     value, members, _ = dinkelbach_max_ratio(
         [e[n] for n in nodes], [mu.values[n] for n in nodes], successors,
@@ -238,6 +238,35 @@ def transitive_carleson(mu, w):
     for node, member in zip(nodes, members):
         sel[node] = member
     return value, down_closure(topo, sel), len(nodes)
+
+
+def pair_item_hereditary(mu, w):
+    """Hereditary constant as Picard's (1976) selection problem: one closure
+    item per support point i (numerator 0, denominator m_i) and one per pair
+    i <= j (numerator (2 - delta_ij) K_ij m_i m_j, denominator 0) with a
+    ``cost=None`` arc to each of its two points.  All numerators are >= 0, so
+    the best closure over a point set S takes every pair inside S.
+
+    Returns (value, witness mask, iterations); the network has
+    n + n(n+1)/2 items, so it is for supports of a few hundred."""
+    topo = mu.topo
+    idx = np.nonzero(np.asarray(mu.values != 0))
+    supp = [(int(a), int(b)) for a, b in zip(*idx)]
+    n = len(supp)
+    masses = mu.values[idx]
+    kernel = loop_lca_kernel(topo, supp, w)
+    iu, ju = np.triu_indices(n)
+    pair_numer = np.where(iu == ju, 1, 2) * kernel[iu, ju] * masses[iu] * masses[ju]
+    exact = mu.values.dtype == object or w.values.dtype == object
+    value, members, iters = dinkelbach_max_ratio(
+        [0] * n + pair_numer.tolist(), masses.tolist() + [0] * len(iu),
+        [()] * n + [((i, None), (j, None)) for i, j in zip(iu.tolist(), ju.tolist())],
+        tol=0 if exact else 1e-12,
+    )
+    mask = topo.zeros(dtype=bool)
+    for i in range(n):
+        mask[supp[i]] = members[i]
+    return value, mask, iters
 
 
 def brute_hereditary(mu, w):

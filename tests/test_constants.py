@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from bitree_embed import maxflow
 from bitree_embed.constants import (
     box_constant,
     carleson_constant,
@@ -44,6 +45,7 @@ from _oracles import (
     enumeration_carleson,
     kernel_hereditary,
     loop_lca_kernel,
+    pair_item_hereditary,
     transitive_carleson,
 )
 
@@ -322,6 +324,53 @@ def test_hereditary_size_guard_before_kernel():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20  # the kernel alone would be 512 MB
+
+
+def _pair_item_float_cases():
+    """The instances of ``sweep chain_ratios_product_w --N 2 3`` and depth
+    (4,4) instances with product and general weights."""
+    for n in (2, 3):
+        for i in range(20):
+            rng = np.random.default_rng(n * 1000 + i)
+            mu = random_mass(build_bitree(n, n), rng, "boundary_atoms")
+            if float(mu.total_mass) > 0:
+                yield mu, random_weight(mu.topo, rng, "product")
+    for seed in (0, 1):
+        for weight_kind in ("product", "general"):
+            yield random_instance(4, 4, seed, "boundary", weight_kind)[1:]
+
+
+def test_hereditary_matches_pair_item_selection(monkeypatch):
+    """Goldberg's network with one item per support point finds the same
+    witness in the same Dinkelbach rounds as Picard's pair items."""
+    items = []
+    closure = maxflow.max_weight_closure
+
+    def counted(weights, successors):
+        items.append(len(weights))
+        return closure(weights, successors)
+
+    monkeypatch.setattr(maxflow, "max_weight_closure", counted)
+    for mu, w in _pair_item_float_cases():
+        items.clear()
+        rep = hereditary_constant(mu, w)
+        assert set(items) == {rep.diagnostics["support"]}
+        value, mask, iters = pair_item_hereditary(mu, w)
+        assert abs(rep.value - value) <= 1e-14 * value
+        assert np.array_equal(rep.witness["mask"], mask)
+        assert rep.diagnostics["iterations"] == iters
+
+    to_fraction = np.vectorize(Fraction, otypes=[object])
+    _, mu, w = random_instance(2, 2, 0, "boundary", "general")
+    exact = [gen_simple_car_not_rec(n, exact=True) for n in (2, 4, 8)]
+    exact.append((MassFunction(mu.topo, to_fraction(mu.values)),
+                  WeightFunction.general(w.topo, to_fraction(w.values))))
+    for mu, w in exact:
+        rep = hereditary_constant(mu, w)
+        value, mask, iters = pair_item_hereditary(mu, w)
+        assert type(rep.value) is Fraction and rep.value == value
+        assert np.array_equal(rep.witness["mask"], mask)
+        assert rep.diagnostics["iterations"] == iters
 
 
 @pytest.mark.parametrize("seed", range(10))
