@@ -34,7 +34,7 @@ from .trees import (
     DEFAULT_DENSE_CAP,
     BiTreeTopology,
     SizeError,
-    bitree_cover_lists,
+    bitree_cover_arcs,
     down_closure,
     heap_lca,
 )
@@ -124,19 +124,14 @@ def carleson_constant(mu: MassFunction, w: WeightFunction, tol: float = 1e-12) -
     # edges to the children inside it; the covers of an up-set generate its
     # order, and the nodes outside carry neither energy nor mass
     e = energy_density(mu, w)
-    nodes, children = bitree_cover_lists(topo, np.asarray(hardy_adjoint(topo, mu.values) > 0))
-    successors = [[(j, None) for j in ch] for ch in children]
-    numer = [e[n] for n in nodes]
-    denom = [mu.values[n] for n in nodes]
-
+    nodes, arcs = bitree_cover_arcs(topo, np.asarray(hardy_adjoint(topo, mu.values) > 0))
     lam, members, iters = dinkelbach_max_ratio(
-        numer, denom, successors, tol=0 if is_exact(mu.values, w.values) else tol
+        e[nodes], mu.values[nodes], arcs, tol=0 if is_exact(mu.values, w.values) else tol
     )
     # the witness is generated by the chosen nodes that carry energy or mass
     relevant = np.asarray(e != 0) | np.asarray(mu.values != 0)
     sel = np.zeros(topo.shape, dtype=bool)
-    for node, member in zip(nodes, members):
-        sel[node] = member
+    sel[nodes] = members
     witness_mask = down_closure(topo, sel & relevant)
     return ConstantReport(
         "Carleson",
@@ -190,18 +185,14 @@ def hereditary_constant(mu: MassFunction, w: WeightFunction) -> ConstantReport:
     n = len(supp)
     masses = mu.values[idx]
     # the outer product keeps c symmetric in floating point
-    c = (lca_kernel(topo, supp, w) * np.outer(masses, masses)).tolist()
-    numer = [sum(row) for row in c]
-    successors = [[(j, cij) for j, cij in enumerate(row) if j != i and cij > 0]
-                  for i, row in enumerate(c)]
-
+    c = lca_kernel(topo, supp, w) * np.outer(masses, masses)
+    u, v = np.nonzero((c > 0) & ~np.eye(n, dtype=bool))
     value, members, iters = dinkelbach_max_ratio(
-        numer, masses.tolist(), successors, tol=0 if is_exact(mu.values, w.values) else 1e-12
+        np.cumsum(c, axis=1)[:, -1], masses, (u, v), c[u, v],
+        tol=0 if is_exact(mu.values, w.values) else 1e-12,
     )
     mask = np.zeros(topo.shape, dtype=bool)
-    for i in range(n):
-        if members[i]:
-            mask[supp[i]] = True
+    mask[idx] = members
     return ConstantReport(
         "HereditaryCarleson", value,
         {"type": "subset", "mask": mask, "topo": topo}, True,

@@ -1,23 +1,27 @@
 """Deterministic max-flow, maximum-weight closure, and ratio maximization.
 
-The flow solver is a plain Dinic implementation over adjacency lists.  It is
-exact for ``Fraction``/int capacities, which is what certifies the Carleson
-witnesses in rational mode.  The Carleson graphs are the cover edges (at most
-four per node) on the ancestors of the mass support: about 3.6k nodes at
-depth (5,5) and 235k at depth (8,8).  The hereditary networks have one node
-per support point and a priced arc per ordered pair of points.
+Dinic's algorithm over adjacency lists, exact for ``Fraction``/int
+capacities, which certifies the witnesses in rational mode, under Picard's
+(1976) closure-to-min-cut reduction.  Arcs are index arrays ``(u, v)``, added
+in array order, all precedence arcs or all priced by a cost array.  Callers:
+Carleson (cover edges above the mass support, 3.6k nodes at depth (5,5)) and
+hereditary (Goldberg's 1984 network, a priced arc per pair of support points)
+through ``dinkelbach_max_ratio``; sparse selection in one closure, whose arc
+flows are the packing.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Sequence
+
+import numpy as np
 
 from .operators import quotient
 
 
 MAX_ROUNDS = 200  # Dinkelbach rounds; the solved instances settle in a few
+ARC_SLICE = 1 << 16  # arcs converted to Python objects at a time
 
 
 class SolverError(RuntimeError):
@@ -101,67 +105,70 @@ class FlowNetwork:
         return seen
 
 
-def max_weight_closure(weights: Sequence, successors: Sequence[Sequence[tuple]]):
+def max_weight_closure(weights, arcs, costs=None):
     """Maximum over subsets S of sum(weights[S]) minus the priced arcs leaving S.
 
-    ``successors[i]`` lists arcs ``(j, cost)``: ``cost=None`` forbids i in S
-    with j outside S, any other cost >= 0 is charged when i is in S and j is
-    not.  Returns (value, member flags), S the source side of a minimum cut;
-    the empty set is feasible, so the value is >= 0.
+    ``weights`` and the arcs ``(u, v)`` are arrays.  Without ``costs`` every
+    arc u -> v is a precedence arc forbidding u in S with v outside S; with a
+    cost array every arc is priced, charging its cost >= 0 when u is in S and
+    v is not.  Returns (value, members, flows): S the source side of a
+    minimum cut as a bool array, and the flow on each arc; the empty set is
+    feasible, so the value is >= 0.
     """
-    n = len(weights)
+    w = weights.tolist()
+    n = len(w)
     s, t = n, n + 1
     net = FlowNetwork(n + 2)
-    zero = 0 * weights[0] if n else 0
-    pos_total = zero
-    for i, p in enumerate(weights):
-        if p > 0:
-            pos_total = pos_total + p
+    ids = list(range(n + 2))  # shared node ids, one int object each
+    pos_total = sum((p for p in w if p > 0), 0 * w[0] if n else 0)
     # large finite capacity acting as infinity on precedence edges
     inf_cap = 1000 * pos_total + 1
-    for i, p in enumerate(weights):
+    for i, p in enumerate(w):
         if p > 0:
-            net.add_edge(s, i, p)
+            net.add_edge(s, ids[i], p)
         elif p < 0:
-            net.add_edge(i, t, -p)
-    for i, succ in enumerate(successors):
-        for j, cost in succ:
-            net.add_edge(i, j, inf_cap if cost is None else cost)
+            net.add_edge(ids[i], t, -p)
+    first = len(net.to)
+    u, v = arcs
+    for lo in range(0, len(u), ARC_SLICE):
+        arc = slice(lo, lo + ARC_SLICE)
+        caps = [inf_cap] * len(u[arc]) if costs is None else costs[arc].tolist()
+        for a, b, c in zip(u[arc].tolist(), v[arc].tolist(), caps):
+            net.add_edge(ids[a], ids[b], c)
     flow = net.max_flow(s, t)
-    side = net.min_cut_source_side(s)
-    members = side[:n]
-    value = pos_total - flow
-    return value, members
+    members = np.array(net.min_cut_source_side(s)[:n], dtype=bool)
+    # a reverse edge's capacity is the flow pushed along its arc
+    return pos_total - flow, members, net.cap[first + 1 :: 2]
 
 
-def dinkelbach_max_ratio(numer: Sequence, denom: Sequence, successors, tol=0.0):
+def dinkelbach_max_ratio(numer, denom, arcs, costs=None, tol=0.0):
     """Maximize N(S) / sum(denom[S]) over nonempty feasible S with positive
-    denominator, by Dinkelbach iteration on ``max_weight_closure`` (whose arc
-    format ``successors`` uses); N(S) is sum(numer[S]) minus the priced arcs
-    leaving S.  numer, denom and costs >= 0; assumes every feasible S with
-    positive N(S) has positive denominator.  Returns (ratio, members, iterations).
+    denominator, by Dinkelbach iteration on ``max_weight_closure`` (whose
+    ``arcs`` and ``costs`` these are); N(S) is sum(numer[S]) minus the
+    priced arcs leaving S.  numer, denom and costs >= 0; assumes every
+    feasible S with positive N(S) has positive denominator.  Set sums run in
+    index order.  Returns (ratio, members as a bool array, iterations).
     """
+    numer, denom = np.asarray(numer), np.asarray(denom)
     n = len(numer)
     if n == 0:
-        return 0, [], 0
-    full = [True] * n
+        return 0, np.zeros(0, dtype=bool), 0
+    best = np.ones(n, dtype=bool)
     num_full = sum(numer)
     den_full = sum(denom)
     if den_full == 0:
-        return 0, full, 0
+        return 0, best, 0
     lam = quotient(num_full, den_full)
-    best = full
+    u, v = arcs
     for k in range(1, MAX_ROUNDS + 1):
-        weights = [numer[i] - lam * denom[i] for i in range(n)]
-        surplus, members = max_weight_closure(weights, successors)
-        scale = sum(numer) + lam * sum(denom)
+        surplus, members, _ = max_weight_closure(numer - lam * denom, arcs, costs)
+        scale = num_full + lam * den_full
         if surplus <= tol * scale:
             return lam, best, k
-        num_s = sum(numer[i] for i in range(n) if members[i]) - sum(
-            cost for i in range(n) if members[i]
-            for j, cost in successors[i] if cost is not None and not members[j]
-        )
-        den_s = sum(denom[i] for i in range(n) if members[i])
+        num_s = sum(numer[members])
+        if costs is not None:
+            num_s = num_s - sum(costs[members[u] & ~members[v]])
+        den_s = sum(denom[members])
         if den_s == 0:
             # cannot happen for energy/mass closures; guard against bad input
             raise SolverError("closure with positive surplus has zero denominator")

@@ -8,9 +8,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import carleson_constant, embedding_constant
-from .maxflow import FlowNetwork
+from .maxflow import max_weight_closure
 from .operators import MassFunction, WeightFunction, hardy_adjoint, is_exact, quotient
-from .trees import BiTreeTopology, ancestor_sweep, bitree_sweep, down_closure
+from .trees import BiTreeTopology, ancestor_sweep, bitree_sweep, down_closure, heap_lca
 
 FEAS_TOL = 1e-9  # float packing counts as feasible within this share of the demand
 
@@ -185,45 +185,36 @@ def sparse_selection(
 ) -> SparseSelection:
     """Fractional disjoint sub-masses E_Q with mu(E_Q) >= w(Q) mu(Q)^2.
 
-    Feasibility is decided by one max-flow; when the packing fails, the
-    min cut yields a union of members violating the union-form condition.
+    One maximum-weight closure: members weigh their demands, support points
+    minus their masses, with an arc from each member to each point below it.
+    Its value is the unmet demand; the arc flows are the assignment, and on
+    failure the closure's members generate a union violating the union-form
+    condition.
     """
     topo = mu.topo
     istar = hardy_adjoint(topo, mu.values)
     demands = [weights[i] * istar[q] ** 2 for i, q in enumerate(collection)]
-    supp = [(int(a), int(b)) for a, b in zip(*np.nonzero(np.asarray(mu.values != 0)))]
-    nq, ns = len(collection), len(supp)
-    s, t = nq + ns, nq + ns + 1
-    net = FlowNetwork(nq + ns + 2)
-    total = sum(demands)
-    inf_cap = total + 1
-    demand_edges = []
-    for i, d in enumerate(demands):
-        demand_edges.append(net.add_edge(s, i, d))
-    assign_edges = {}
-    for i, q in enumerate(collection):
-        for j, node in enumerate(supp):
-            if topo.leq(node, q):
-                assign_edges[(i, j)] = net.add_edge(i, nq + j, inf_cap)
-    for j, node in enumerate(supp):
-        net.add_edge(nq + j, t, mu.values[node])
-    flow = net.max_flow(s, t)
+    px, py = np.nonzero(np.asarray(mu.values != 0))
+    qx, qy = np.array(collection, dtype=np.int64).reshape(-1, 2).T
+    nq = len(collection)
+    # a point lies below a member iff the member is their LCA on both axes
+    below = (heap_lca(qx[:, None], px) == qx[:, None]) & (heap_lca(qy[:, None], py) == qy[:, None])
+    member, point = np.nonzero(below)
+    items = np.concatenate([np.asarray(demands), -mu.values[px, py]])
+    deficit, closure, flows = max_weight_closure(items, (member, nq + point))
 
+    total = sum(demands)
     slack = 0 if is_exact(mu.values) else FEAS_TOL * max(1.0, float(total))
-    if flow >= total - slack:
+    if deficit <= slack:
         assignment = {}
-        per_total = [0 * total] * len(collection)
-        for (i, j), e in assign_edges.items():
-            sent = net.cap[e ^ 1]  # reverse capacity equals flow pushed
+        per_total = [0 * total] * nq
+        for i, k, sent in zip(member.tolist(), point.tolist(), flows):
             if sent > 0:
-                assignment[(i, supp[j])] = sent
+                assignment[(i, (int(px[k]), int(py[k])))] = sent
                 per_total[i] = per_total[i] + sent
         return SparseSelection(True, assignment, per_total, demands)
 
-    side = net.min_cut_source_side(s)
-    members = [i for i in range(nq) if side[i]]
     union = np.zeros(topo.shape, dtype=bool)
-    for i in members:
-        union[collection[i]] = True
+    union[qx[closure[:nq]], qy[closure[:nq]]] = True
     union = down_closure(topo, union)
     return SparseSelection(False, {}, [], demands, violating_union=union)

@@ -20,6 +20,10 @@ place, one tree level at a time, on strided slices of a grid (a transposed
 view for the second axis), combining with a ufunc.  ``np.add`` gives the
 ancestor and descendant sums of ``operators``, ``np.logical_or`` the down-
 and up-closures below, ``np.maximum`` the maximal function of ``maximal``.
+
+``bitree_cover_arcs`` builds the Carleson closure graph in ``maxflow``'s arc
+format, nodes row-major and each node's arcs in ``children`` order, the order
+on which Dinic's cuts, and so the report bytes, depend.
 """
 
 from __future__ import annotations
@@ -276,15 +280,16 @@ def is_up_mask(topo: BiTreeTopology, mask: np.ndarray) -> bool:
 
 
 def _antichain_of(topo: BiTreeTopology, mask: np.ndarray, maximal: bool) -> list[tuple[int, int]]:
-    out = []
-    for ix in range(1, topo.tree_x.size):
-        for iy in range(1, topo.tree_y.size):
-            if not mask[ix, iy]:
-                continue
-            covers = topo.parents((ix, iy)) if maximal else topo.children((ix, iy))
-            if not any(mask[c] for c in covers):
-                out.append((ix, iy))
-    return out
+    """Masked nodes with no masked cover above (maximal) or below, row-major."""
+    m = mask & topo.valid_mask()
+    if maximal:
+        # parents along each axis; the root's parent is the unused slot 0
+        covered = m[np.arange(topo.tree_x.size) >> 1] | m[:, np.arange(topo.tree_y.size) >> 1]
+    else:
+        covered = np.zeros_like(m)
+        covered[1 : topo.tree_x.leaf_start] |= m[2::2] | m[3::2]
+        covered[:, 1 : topo.tree_y.leaf_start] |= m[:, 2::2] | m[:, 3::2]
+    return [(int(a), int(b)) for a, b in zip(*np.nonzero(m & ~covered))]
 
 
 @dataclass(frozen=True)
@@ -318,16 +323,21 @@ class UpSet:
 
 
 # ---------------------------------------------------------------------------
-# Cover lists
+# Cover arcs
 # ---------------------------------------------------------------------------
 
-def bitree_cover_lists(
-    topo: BiTreeTopology, mask: np.ndarray
-) -> tuple[list[tuple[int, int]], list[list[int]]]:
-    """Masked nodes in row-major order plus, per node, the indices of its
-    covers from below that are masked too.  On an up-set these covers
-    generate the whole order restricted to the set."""
-    nodes = [(int(a), int(b)) for a, b in zip(*np.nonzero(mask))]
-    pos = {node: i for i, node in enumerate(nodes)}
-    children = [[pos[c] for c in topo.children(node) if c in pos] for node in nodes]
-    return nodes, children
+def bitree_cover_arcs(topo: BiTreeTopology, mask: np.ndarray) -> tuple[tuple, tuple]:
+    """Masked nodes in row-major order as index arrays ``(ix, iy)``, and arcs
+    ``(u, v)`` indexing them, from each node to its masked covers from below
+    in ``children`` order.  On an up-set these covers generate the whole
+    order restricted to the set."""
+    ix, iy = np.nonzero(mask)
+    pos = np.full(topo.shape, -1)
+    pos[ix, iy] = np.arange(len(ix))
+    # children: two along x, then two along y; off the grid below the leaves
+    cx = np.stack([2 * ix, 2 * ix + 1, ix, ix], axis=1)
+    cy = np.stack([iy, iy, 2 * iy, 2 * iy + 1], axis=1)
+    sx, sy = topo.shape
+    kids = np.where((cx < sx) & (cy < sy), pos[np.minimum(cx, sx - 1), np.minimum(cy, sy - 1)], -1)
+    u, k = np.nonzero(kids >= 0)
+    return (ix, iy), (u, kids[u, k])

@@ -11,12 +11,19 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from bitree_embed.maxflow import dinkelbach_max_ratio
-from bitree_embed.operators import MassFunction, energy_density, hardy_forward, quotient
+from bitree_embed.maxflow import FlowNetwork, dinkelbach_max_ratio
+from bitree_embed.maximal import FEAS_TOL
+from bitree_embed.operators import (
+    MassFunction,
+    energy_density,
+    hardy_adjoint,
+    hardy_forward,
+    is_exact,
+    quotient,
+)
 from bitree_embed.trees import (
     BiTreeTopology,
     SizeError,
-    bitree_cover_lists,
     down_closure,
     up_closure,
 )
@@ -75,6 +82,21 @@ def loop_lca_kernel(topo: BiTreeTopology, nodes, w) -> np.ndarray:
         for j in range(i, n):
             k[i, j] = k[j, i] = iw[topo.lca(nodes[i], nodes[j])]
     return k
+
+
+def loop_antichain(topo: BiTreeTopology, mask: np.ndarray, maximal: bool) -> list:
+    """Masked nodes with no masked cover above (maximal) or below, node by
+    node in row-major order: the library's earlier loop behind
+    ``DownSet.generators``/``UpSet.generators``."""
+    out = []
+    for ix in range(1, topo.tree_x.size):
+        for iy in range(1, topo.tree_y.size):
+            if not mask[ix, iy]:
+                continue
+            covers = topo.parents((ix, iy)) if maximal else topo.children((ix, iy))
+            if not any(mask[c] for c in covers):
+                out.append((ix, iy))
+    return out
 
 
 def brute_box(mu, w):
@@ -182,7 +204,9 @@ def enumerate_down_sets(topo: BiTreeTopology) -> Iterator[np.ndarray]:
             f"down-set enumeration capped at {ENUMERATION_CAP} bi-nodes, "
             f"instance has {topo.node_count}"
         )
-    nodes, children = bitree_cover_lists(topo, topo.valid_mask())
+    nodes = list(topo.nodes())
+    pos = {node: i for i, node in enumerate(nodes)}
+    children = [[pos[c] for c in topo.children(node)] for node in nodes]
     for bits in iter_ideal_bitmasks(children):
         mask = np.zeros(topo.shape, dtype=bool)
         for i, node in enumerate(nodes):
@@ -221,17 +245,18 @@ def transitive_carleson(mu, w):
     relevant = np.asarray(e != 0) | np.asarray(mu.values != 0)
     nodes = [(int(a), int(b)) for a, b in zip(*np.nonzero(relevant))]
     pos = {node: i for i, node in enumerate(nodes)}
-    successors = [[] for _ in nodes]
+    arcs = []
     for j, node in enumerate(nodes):
         single = topo.zeros(dtype=bool)
         single[node] = True
         for a, b in zip(*np.nonzero(up_closure(topo, single) & relevant)):
             i = pos[(int(a), int(b))]
             if i != j:
-                successors[i].append((j, None))
+                arcs.append((i, j))
+    u, v = np.array(arcs, dtype=np.int64).reshape(-1, 2).T
     exact = mu.values.dtype == object or w.values.dtype == object
     value, members, _ = dinkelbach_max_ratio(
-        [e[n] for n in nodes], [mu.values[n] for n in nodes], successors,
+        [e[n] for n in nodes], [mu.values[n] for n in nodes], (u, v),
         tol=0 if exact else 1e-12,
     )
     sel = topo.zeros(dtype=bool)
@@ -244,7 +269,7 @@ def pair_item_hereditary(mu, w):
     """Hereditary constant as Picard's (1976) selection problem: one closure
     item per support point i (numerator 0, denominator m_i) and one per pair
     i <= j (numerator (2 - delta_ij) K_ij m_i m_j, denominator 0) with a
-    ``cost=None`` arc to each of its two points.  All numerators are >= 0, so
+    precedence arc to each of its two points.  All numerators are >= 0, so
     the best closure over a point set S takes every pair inside S.
 
     Returns (value, witness mask, iterations); the network has
@@ -258,15 +283,50 @@ def pair_item_hereditary(mu, w):
     iu, ju = np.triu_indices(n)
     pair_numer = np.where(iu == ju, 1, 2) * kernel[iu, ju] * masses[iu] * masses[ju]
     exact = mu.values.dtype == object or w.values.dtype == object
+    # each pair item n + k precedes its two points iu[k] and ju[k]
+    items = n + np.arange(len(iu))
     value, members, iters = dinkelbach_max_ratio(
         [0] * n + pair_numer.tolist(), masses.tolist() + [0] * len(iu),
-        [()] * n + [((i, None), (j, None)) for i, j in zip(iu.tolist(), ju.tolist())],
+        (np.repeat(items, 2), np.stack([iu, ju], axis=1).ravel()),
         tol=0 if exact else 1e-12,
     )
     mask = topo.zeros(dtype=bool)
     for i in range(n):
         mask[supp[i]] = members[i]
     return value, mask, iters
+
+
+def flow_network_selection(mu, collection, weights):
+    """Sparse selection on a hand-built flow network: source -> member
+    (demand), member -> each support point below it (unbounded), point ->
+    sink (mass), the pairs found by ``topo.leq``.  The library's earlier
+    formulation.  Returns (feasible, violating union or None)."""
+    topo = mu.topo
+    istar = hardy_adjoint(topo, mu.values)
+    demands = [weights[i] * istar[q] ** 2 for i, q in enumerate(collection)]
+    supp = [(int(a), int(b)) for a, b in zip(*np.nonzero(np.asarray(mu.values != 0)))]
+    nq, ns = len(collection), len(supp)
+    s, t = nq + ns, nq + ns + 1
+    net = FlowNetwork(nq + ns + 2)
+    total = sum(demands)
+    for i, d in enumerate(demands):
+        net.add_edge(s, i, d)
+    for i, q in enumerate(collection):
+        for j, node in enumerate(supp):
+            if topo.leq(node, q):
+                net.add_edge(i, nq + j, total + 1)
+    for j, node in enumerate(supp):
+        net.add_edge(nq + j, t, mu.values[node])
+    flow = net.max_flow(s, t)
+    slack = 0 if is_exact(mu.values) else FEAS_TOL * max(1.0, float(total))
+    if flow >= total - slack:
+        return True, None
+    side = net.min_cut_source_side(s)
+    union = topo.zeros(dtype=bool)
+    for i in range(nq):
+        if side[i]:
+            union[collection[i]] = True
+    return False, down_closure(topo, union)
 
 
 def brute_hereditary(mu, w):

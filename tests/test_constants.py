@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bitree_embed import maxflow
+from bitree_embed import maxflow, maximal
 from bitree_embed.constants import (
     box_constant,
     carleson_constant,
@@ -346,9 +346,9 @@ def test_hereditary_matches_pair_item_selection(monkeypatch):
     items = []
     closure = maxflow.max_weight_closure
 
-    def counted(weights, successors):
+    def counted(weights, arcs, costs=None):
         items.append(len(weights))
-        return closure(weights, successors)
+        return closure(weights, arcs, costs)
 
     monkeypatch.setattr(maxflow, "max_weight_closure", counted)
     for mu, w in _pair_item_float_cases():
@@ -371,6 +371,63 @@ def test_hereditary_matches_pair_item_selection(monkeypatch):
         assert type(rep.value) is Fraction and rep.value == value
         assert np.array_equal(rep.witness["mask"], mask)
         assert rep.diagnostics["iterations"] == iters
+
+
+def check_flow_certificate(weights, arcs, costs, value, members, flows):
+    """Dinic's arc flows f certify the closure value: 0 <= f (<= cost on
+    priced arcs) and sum_i (p_i - out_i + in_i)_+ equals the value, which
+    the returned members attain.  Exact on exact input, within 1e-12 of the
+    total absolute weight on float input."""
+    p = np.asarray(weights).tolist()
+    exact = all(isinstance(x, (int, Fraction)) for x in p)
+    tol = 0 if exact else 1e-12 * sum(abs(x) for x in p)
+    u, v = np.asarray(arcs[0]).tolist(), np.asarray(arcs[1]).tolist()
+    caps = [None] * len(u) if costs is None else np.asarray(costs).tolist()
+    assert len(flows) == len(u)
+    excess = list(p)
+    for a, b, f, c in zip(u, v, flows, caps):
+        assert f >= 0 and (c is None or f <= c + tol)
+        excess[a] -= f
+        excess[b] += f
+    assert abs(sum(x for x in excess if x > 0) - value) <= tol
+    surplus = sum(x for x, m in zip(p, members) if m)
+    for a, b, c in zip(u, v, caps):
+        if members[a] and not members[b]:
+            assert c is not None, "a precedence arc leaves the closure"
+            surplus -= c
+    assert abs(surplus - value) <= tol
+
+
+def test_closure_flows_certify_the_value(monkeypatch):
+    """On Carleson, hereditary and sparse-selection networks, float and
+    exact: the flows returned with each closure prove its value optimal."""
+    calls = []
+    closure = maxflow.max_weight_closure
+
+    def recorded(weights, arcs, costs=None):
+        out = closure(weights, arcs, costs)
+        calls.append((weights, arcs, costs) + out)
+        return out
+
+    monkeypatch.setattr(maxflow, "max_weight_closure", recorded)
+    monkeypatch.setattr(maximal, "max_weight_closure", recorded)
+    to_fraction = np.vectorize(Fraction, otypes=[object])
+    _, mu, w = random_instance(3, 3, 0, "boundary", "product")
+    _, small_mu, small_w = random_instance(2, 2, 0, "boundary", "general")
+    exact = (MassFunction(small_mu.topo, to_fraction(small_mu.values)),
+             WeightFunction.general(small_w.topo, to_fraction(small_w.values)))
+    for mu, w in ((mu, w), exact):
+        topo = mu.topo
+        istar = hardy_adjoint(topo, mu.values)
+        coll = [n for n in topo.nodes() if istar[n] > 0][::3]
+        for run in (carleson_constant, hereditary_constant,
+                    lambda mu, w: maximal.sparse_selection(mu, coll, [1 / istar[q] for q in coll])):
+            calls.clear()
+            run(mu, w)
+            assert any(any(f > 0 for f in call[-1]) for call in calls)
+            for weights, arcs, costs, value, members, flows in calls:
+                assert (type(value) is Fraction) == (mu.values.dtype == object)
+                check_flow_certificate(weights, arcs, costs, value, members, flows)
 
 
 @pytest.mark.parametrize("seed", range(10))

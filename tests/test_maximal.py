@@ -6,7 +6,9 @@ import pytest
 
 from bitree_embed.constants import carleson_constant, embedding_constant
 from bitree_embed.counterexamples import gen_simple_car_not_rec
+from bitree_embed.instances import MASS_KINDS, random_mass
 from bitree_embed.maximal import (
+    FEAS_TOL,
     extremal_weight,
     maximal_equivalence_probe,
     maximal_function,
@@ -15,6 +17,7 @@ from bitree_embed.maximal import (
 )
 from bitree_embed.operators import MassFunction, hardy_adjoint
 from bitree_embed.trees import build_bitree, is_down_mask
+from _oracles import flow_network_selection
 
 
 def random_boundary_mass(topo, rng, density=0.8):
@@ -320,3 +323,58 @@ def test_selection_staircase_family_scaled_by_carleson_bound():
     istar = hardy_adjoint(topo, mu.values)
     for i, q in enumerate(weighted):
         assert sel.per_member_total[i] >= wts[i] * istar[q] ** 2 - 1e-9
+
+
+def selection_cases(count):
+    """Random packings on bi-trees up to depth (3,3); every third has exact
+    ``Fraction`` masses and weights.  Demands are 0.05-1.25 times each
+    member's own mass, so both verdicts occur."""
+    to_fraction = np.vectorize(Fraction, otypes=[object])
+    for trial in range(count):
+        rng = np.random.default_rng(20_000 + trial)
+        topo = build_bitree(int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+        mu = random_mass(topo, rng, MASS_KINDS[trial % 3])
+        if float(mu.total_mass) == 0:
+            continue
+        exact = trial % 3 == 0
+        if exact:
+            mu = MassFunction(topo, to_fraction(mu.values))
+        istar = hardy_adjoint(topo, mu.values)
+        nodes = [n for n in topo.nodes() if istar[n] > 0]
+        coll = list(dict.fromkeys(
+            nodes[int(rng.integers(len(nodes)))] for _ in range(int(rng.integers(1, 7)))
+        ))
+        scale = [Fraction(int(rng.integers(1, 26)), 20) if exact else float(rng.uniform(0.05, 1.25))
+                 for _ in coll]
+        yield mu, coll, [a / istar[q] for a, q in zip(scale, coll)]
+
+
+def test_selection_matches_flow_network_referee():
+    """One closure call decides as the hand-built flow network does, finds
+    the same violating union, and its arc flows are a valid packing."""
+    verdicts = {True: 0, False: 0}
+    for mu, coll, wts in selection_cases(240):
+        topo = mu.topo
+        sel = sparse_selection(mu, coll, wts)
+        feasible, union = flow_network_selection(mu, coll, wts)
+        assert sel.feasible == feasible
+        verdicts[feasible] += 1
+        if not feasible:
+            assert np.array_equal(sel.violating_union, union)
+            continue
+        exact = mu.values.dtype == object
+        total = sum(sel.demands)
+        slack = 0 if exact else FEAS_TOL * max(1.0, float(total))
+        tol = 0 if exact else 1e-12 * max(1.0, float(total))
+        got = [0] * len(coll)
+        at_point = {}
+        for (i, node), amount in sel.assignment.items():
+            assert amount > 0 and topo.leq(node, coll[i])
+            got[i] += amount
+            at_point[node] = at_point.get(node, 0) + amount
+        for i, d in enumerate(sel.demands):
+            assert sel.per_member_total[i] == got[i]
+            assert got[i] >= d - slack
+        for node, amount in at_point.items():
+            assert amount <= mu.values[node] + tol
+    assert min(verdicts.values()) >= 50, verdicts

@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bitree_embed.trees import (
+    DownSet,
     SizeError,
+    UpSet,
     ancestor_sweep,
+    bitree_cover_arcs,
     bitree_sweep,
     build_bitree,
     build_tree,
@@ -18,7 +21,7 @@ from bitree_embed.trees import (
     up_closure,
 )
 
-from _oracles import enumerate_down_sets, iter_ideal_bitmasks
+from _oracles import enumerate_down_sets, iter_ideal_bitmasks, loop_antichain
 
 
 def test_node_counts():
@@ -202,8 +205,6 @@ def test_closure_idempotence_property(dx, dy, seed):
 
 
 def test_downset_generators_regenerate():
-    from bitree_embed.trees import DownSet
-
     topo = build_bitree(2, 1)
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -223,3 +224,33 @@ def test_downset_generators_regenerate():
         for g in gens:
             regen[g] = True
         assert np.array_equal(down_closure(topo, regen), mask)
+
+
+@pytest.mark.parametrize("dx, dy", [(0, 0), (0, 3), (1, 2), (3, 1), (3, 3), (4, 2)])
+def test_cover_arcs_follow_children_order(dx, dy):
+    """Per node, the arcs list the masked covers from below in the order of
+    ``topo.children``, nodes in row-major order; Dinic's cuts, and so the
+    report bytes, depend on that order."""
+    topo = build_bitree(dx, dy)
+    rng = np.random.default_rng(dx * 10 + dy)
+    for _ in range(20):
+        mask = up_closure(topo, topo.valid_mask() & (rng.random(topo.shape) < 0.1))
+        (ix, iy), (u, v) = bitree_cover_arcs(topo, mask)
+        nodes = list(zip(ix.tolist(), iy.tolist()))
+        assert nodes == [n for n in topo.nodes() if mask[n]]
+        want = [(i, nodes.index(c)) for i, n in enumerate(nodes)
+                for c in topo.children(n) if mask[c]]
+        assert list(zip(u.tolist(), v.tolist())) == want
+
+
+@pytest.mark.parametrize("dx, dy", [(0, 0), (0, 2), (1, 3), (2, 2), (3, 2), (4, 4)])
+def test_generators_match_loop_antichain(dx, dy):
+    """Vectorized maximal and minimal elements equal the node-by-node loop
+    on down-closed, up-closed and arbitrary masks."""
+    topo = build_bitree(dx, dy)
+    rng = np.random.default_rng(100 + dx * 10 + dy)
+    for _ in range(30):
+        mask = topo.valid_mask() & (rng.random(topo.shape) < rng.random())
+        for m in (mask, down_closure(topo, mask), up_closure(topo, mask)):
+            assert DownSet(m).generators(topo) == loop_antichain(topo, m, maximal=True)
+            assert UpSet(m).generators(topo) == loop_antichain(topo, m, maximal=False)
