@@ -204,12 +204,10 @@ def hereditary_constant(mu: MassFunction, w: WeightFunction) -> ConstantReport:
 # embedding
 # ---------------------------------------------------------------------------
 
-def embedding_constant(
-    mu: MassFunction,
-    w: WeightFunction,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-) -> ConstantReport:
+MAX_POWER_ITERS = 10_000  # power-iteration steps; past it the value is uncertified
+
+
+def embedding_constant(mu: MassFunction, w: WeightFunction, tol: float = 1e-10) -> ConstantReport:
     topo = mu.topo
     mv = np.asarray(mu.values, dtype=np.float64)
     wv = np.asarray(w.values, dtype=np.float64)
@@ -236,7 +234,7 @@ def embedding_constant(
     stall = 0
     stalled = False
     iters = 0
-    for iters in range(1, max_iter + 1):
+    for iters in range(1, MAX_POWER_ITERS + 1):
         y = matvec(x)
         new_theta = float(x @ y)
         ny = np.linalg.norm(y)

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .maxflow import dinkelbach_max_ratio
 from .operators import MassFunction, WeightFunction, energy
 from .trees import BiTreeTopology, build_bitree, up_closure
 
@@ -223,28 +224,25 @@ class CornerFamily:
     def exact_carleson_value(self) -> Fraction:
         """Exact Carleson constant of the up-set family at any depth.
 
-        Every optimal down-set collapses to a union of base rectangles; over
-        such a union indexed by J the energy decomposes along containment
-        intervals inside J and the mass is (|J|+1)/N.  Maximizing over the
-        2^M subsets is exact because quadrants meet a member rectangle in an
-        all-or-nothing fashion.
+        Every optimal down-set collapses to a union of base rectangles, and
+        quadrants meet a member rectangle in an all-or-nothing fashion, so
+        this is a best closed set under a ratio, solved exactly by the
+        closure engine.  Items: each base rectangle (denominator its quadrant
+        mass q), the corner atom a, which every base item needs, and each
+        ``interval_counts`` entry (m, k) with count c, which needs base
+        rectangles m..m+k and adds energy c((k+1)q + a)^2.
         """
         if len(self.pieces) != 1 or self.pieces[0].rects != self.base or not self.corner_atom:
-            raise ParameterError("closed-form Carleson value applies to the up-set family only")
-        n = self.depth
+            raise ParameterError("exact Carleson value applies to the up-set family only")
+        q, a, m_cnt = self.pieces[0].rect_mass, self.corner_atom, self.m_count
         counts = self.interval_counts()
-        m_cnt = self.m_count
-        best = Fraction(0)
-        for bits in range(1, 1 << m_cnt):
-            members = [j + 1 for j in range(m_cnt) if bits >> j & 1]
-            mem = set(members)
-            num = Fraction(0)
-            for (m, k), c in counts.items():
-                if all(j in mem for j in range(m, m + k + 1)):
-                    num += c * Fraction(k + 2, n) ** 2
-            den = Fraction(len(members) + 1, n)
-            best = max(best, num / den)
-        return best
+        numer = [Fraction(0)] * (m_cnt + 1) + [c * ((k + 1) * q + a) ** 2 for (_, k), c in counts.items()]
+        denom = [q] * m_cnt + [a] + [Fraction(0)] * len(counts)
+        arcs = [(j, m_cnt) for j in range(m_cnt)] + [
+            (m_cnt + i, j) for i, (m, k) in enumerate(counts, 1) for j in range(m - 1, m + k)]
+        value, _, _ = dinkelbach_max_ratio(np.array(numer, dtype=object), np.array(denom, dtype=object),
+                                           tuple(np.array(arcs).T), tol=0)
+        return value
 
     # -- sampling ------------------------------------------------------------
 

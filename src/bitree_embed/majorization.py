@@ -209,7 +209,6 @@ def majorant_bitree(
     lam: float,
     delta: float,
     topo: BiTreeTopology,
-    validate: bool = True,
 ) -> MajorantResult:
     """Slicewise majorant on the bi-tree for a product weight.
 
@@ -227,16 +226,15 @@ def majorant_bitree(
     wx[0] = 0.0
     wy[0] = 0.0
     iwm = hardy_forward(topo, w.values * m)
-    if validate:
-        ok, node = is_slice_superadditive(m, topo, axis=0)
-        if not ok:
-            raise PreconditionError(f"m is not x-slice superadditive at node {node}")
-        slack = 1e-9 * (np.abs(iwm).max() + delta)
-        bad = np.argwhere((m != 0) & (iwm > delta + slack))
-        if bad.size:
-            raise PreconditionError(
-                f"potential of w*m exceeds delta on supp m at node {tuple(int(v) for v in bad[0])}"
-            )
+    ok, node = is_slice_superadditive(m, topo, axis=0)
+    if not ok:
+        raise PreconditionError(f"m is not x-slice superadditive at node {node}")
+    slack = 1e-9 * (np.abs(iwm).max() + delta)
+    bad = np.argwhere((m != 0) & (iwm > delta + slack))
+    if bad.size:
+        raise PreconditionError(
+            f"potential of w*m exceeds delta on supp m at node {tuple(int(v) for v in bad[0])}"
+        )
     # g for the slice at alpha_y aggregates m over y-ancestors against wy
     gmat = tree_ancestor_sum(m * wy[None, :], topo.tree_y, axis=1)
     phi = np.zeros_like(m)
@@ -244,12 +242,9 @@ def majorant_bitree(
         res = majorant_tree(
             gmat[:, iy], m[:, iy], wx, lam, delta, topo.tree_x, validate=False
         )
-        if validate:
-            ok, node = is_superadditive(gmat[:, iy], topo.tree_x)
-            if not ok:
-                raise PreconditionError(
-                    f"slice at y={iy} lost superadditivity at x-node {node}"
-                )
+        ok, node = is_superadditive(gmat[:, iy], topo.tree_x)
+        if not ok:
+            raise PreconditionError(f"slice at y={iy} lost superadditivity at x-node {node}")
         phi[:, iy] = res.phi
     band = (iwm > lam) & (iwm <= 2 * lam)
     band[0, :] = False

@@ -4,10 +4,11 @@ Dinic's algorithm over adjacency lists, exact for ``Fraction``/int
 capacities, which certifies the witnesses in rational mode, under Picard's
 (1976) closure-to-min-cut reduction.  Arcs are index arrays ``(u, v)``, added
 in array order, all precedence arcs or all priced by a cost array.  Callers:
-Carleson (cover edges above the mass support, 3.6k nodes at depth (5,5)) and
+Carleson (cover edges above the mass support, 3.6k nodes at depth (5,5)),
 hereditary (Goldberg's 1984 network, a priced arc per pair of support points)
-through ``dinkelbach_max_ratio``; sparse selection in one closure, whose arc
-flows are the packing.
+and the up-set family's exact Carleson value (base rectangles, corner atom and
+containment intervals) through ``dinkelbach_max_ratio``; sparse selection in
+one closure, whose arc flows are the packing.
 """
 
 from __future__ import annotations

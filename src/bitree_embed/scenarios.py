@@ -403,8 +403,8 @@ def _cell_car_vs_rec(n: int, seed: int) -> list:
         wit = float(fam.corner_witness_ratio())
         rows.append(_row("car_vs_rec", "upset", n, "hc_witness", wit,
                          witness="corner_cell", seed=seed))
-        # closed-form down-set optimum; equals the dense min-cut value where
-        # both are computable and extends far beyond dense reach
+        # exact down-set optimum from a closure over the base rectangles;
+        # equals the dense min-cut value and extends far beyond dense reach
         car2 = float(fam.exact_carleson_value())
         rows.append(_row("car_vs_rec", "upset", n, "carleson", car2, seed=seed))
         rows.append(_row("car_vs_rec", "upset", n, "hc_witness_over_c", None,

@@ -7,6 +7,7 @@ in the package are checked against a genuinely different computation.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -232,6 +233,27 @@ def enumeration_carleson(mu, w):
         if best_mask is None or num * best_md > best_num * md:
             best_num, best_md, best_mask = num, md, mask
     return (0.0, None) if best_mask is None else (quotient(best_num, best_md), best_mask)
+
+
+def enumeration_upset_carleson(fam):
+    """Exact Carleson constant of the up-set family (``CornerFamily`` with
+    quadrant and atom masses 1/N) by scanning all 2^M nonempty sets of base
+    rectangles: a union indexed by J holds the weighted rectangles whose
+    containment interval lies inside J, and has mass (|J|+1)/N."""
+    n = fam.depth
+    counts = fam.interval_counts()
+    m_cnt = fam.m_count
+    best = Fraction(0)
+    for bits in range(1, 1 << m_cnt):
+        members = [j + 1 for j in range(m_cnt) if bits >> j & 1]
+        mem = set(members)
+        num = Fraction(0)
+        for (m, k), c in counts.items():
+            if all(j in mem for j in range(m, m + k + 1)):
+                num += c * Fraction(k + 2, n) ** 2
+        den = Fraction(len(members) + 1, n)
+        best = max(best, num / den)
+    return best
 
 
 def transitive_carleson(mu, w):

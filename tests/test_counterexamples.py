@@ -8,6 +8,7 @@ from bitree_embed.constants import box_constant, carleson_constant, hereditary_c
 from bitree_embed.counterexamples import (
     CornerFamily,
     ParameterError,
+    QuadrantPiece,
     gen_rec_not_embedding,
     gen_simple_car_not_rec,
     gen_sum_of_products,
@@ -29,7 +30,7 @@ from bitree_embed.operators import (
     potential,
 )
 from bitree_embed.trees import build_bitree, is_up_mask, up_closure
-from _oracles import enumeration_carleson
+from _oracles import enumeration_carleson, enumeration_upset_carleson
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +233,27 @@ def test_upset_family_closed_form_carleson_matches_mincut(n):
     dense_val = float(carleson_constant(nu, w).value)
     closed = float(fam.exact_carleson_value())
     assert abs(dense_val - closed) <= 1e-12 * max(1.0, dense_val)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_upset_family_carleson_reads_its_own_masses(n):
+    # the closure is built from the family's quadrant and atom masses, so any
+    # masses give the exact dense down-set optimum, not only q = a = 1/N
+    base = gen_upset_car_not_rec(n).base
+    masses = [Fraction(1, 16), Fraction(1, 4), Fraction(1), Fraction(7, 3)]
+    for q in masses:
+        for a in masses:
+            fam = CornerFamily("upset_car_not_rec", n, base, (QuadrantPiece(base, q),), a)
+            nu, w = fam.dense(exact=True)
+            assert fam.exact_carleson_value() == carleson_constant(nu, w).value
+
+
+def test_upset_family_carleson_matches_subset_enumeration():
+    for log_n in range(2, 13):
+        fam = gen_upset_car_not_rec(1 << log_n)
+        value = fam.exact_carleson_value()
+        assert isinstance(value, Fraction)
+        assert value == enumeration_upset_carleson(fam)
 
 
 def test_upset_family_interval_counts_sum_to_weight_count():
