@@ -26,7 +26,6 @@ from .operators import (
     energy_density,
     hardy_adjoint,
     hardy_forward,
-    is_exact,
     quotient,
     suffix_rect_sums,
 )
@@ -115,7 +114,7 @@ def box_constant(mu: MassFunction, w: WeightFunction) -> ConstantReport:
 # carleson
 # ---------------------------------------------------------------------------
 
-def carleson_constant(mu: MassFunction, w: WeightFunction, tol: float = 1e-12) -> ConstantReport:
+def carleson_constant(mu: MassFunction, w: WeightFunction) -> ConstantReport:
     topo = mu.topo
     if not np.asarray(mu.values != 0).any():
         return ConstantReport("Carleson", 0.0, None, True, {"note": "zero mass"})
@@ -125,9 +124,7 @@ def carleson_constant(mu: MassFunction, w: WeightFunction, tol: float = 1e-12) -
     # order, and the nodes outside carry neither energy nor mass
     e = energy_density(mu, w)
     nodes, arcs = bitree_cover_arcs(topo, np.asarray(hardy_adjoint(topo, mu.values) > 0))
-    lam, members, iters = dinkelbach_max_ratio(
-        e[nodes], mu.values[nodes], arcs, tol=0 if is_exact(mu.values, w.values) else tol
-    )
+    lam, members, iters = dinkelbach_max_ratio(e[nodes], mu.values[nodes], arcs)
     # the witness is generated by the chosen nodes that carry energy or mass
     relevant = np.asarray(e != 0) | np.asarray(mu.values != 0)
     sel = np.zeros(topo.shape, dtype=bool)
@@ -188,8 +185,7 @@ def hereditary_constant(mu: MassFunction, w: WeightFunction) -> ConstantReport:
     c = lca_kernel(topo, supp, w) * np.outer(masses, masses)
     u, v = np.nonzero((c > 0) & ~np.eye(n, dtype=bool))
     value, members, iters = dinkelbach_max_ratio(
-        np.cumsum(c, axis=1)[:, -1], masses, (u, v), c[u, v],
-        tol=0 if is_exact(mu.values, w.values) else 1e-12,
+        np.cumsum(c, axis=1)[:, -1], masses, (u, v), c[u, v]
     )
     mask = np.zeros(topo.shape, dtype=bool)
     mask[idx] = members
@@ -273,14 +269,6 @@ def embedding_constant(mu: MassFunction, w: WeightFunction, tol: float = 1e-10) 
     )
 
 
-def embedding_quadratic_form(mu: MassFunction, w: WeightFunction, psi: np.ndarray):
-    """Rayleigh-type ratio tested by a given function psi on supp mu."""
-    topo = mu.topo
-    num = (w.values * hardy_adjoint(topo, psi * mu.values) ** 2).sum()
-    den = (psi * psi * mu.values).sum()
-    return num, den
-
-
 # ---------------------------------------------------------------------------
 # hooked-weight test battery
 # ---------------------------------------------------------------------------
@@ -342,23 +330,26 @@ class ChainReport:
         }
 
 
-def _chain_leq(a: float, b: float, slack: float) -> bool:
-    return a <= b + slack * max(abs(a), abs(b), 1e-30)
+CHAIN_SLACK = 1e-9  # relative slack of each link a <= b of the chain
 
 
-def verify_chain(mu: MassFunction, w: WeightFunction, slack: float = 1e-9) -> ChainReport:
+def _chain_leq(a: float, b: float) -> bool:
+    return a <= b + CHAIN_SLACK * max(abs(a), abs(b), 1e-30)
+
+
+def verify_chain(mu: MassFunction, w: WeightFunction) -> ChainReport:
     return chain_of(box_constant(mu, w), carleson_constant(mu, w),
-                    hereditary_constant(mu, w), embedding_constant(mu, w), slack)
+                    hereditary_constant(mu, w), embedding_constant(mu, w))
 
 
 def chain_of(box: ConstantReport, car: ConstantReport, her: ConstantReport,
-             emb: ConstantReport, slack: float = 1e-9) -> ChainReport:
+             emb: ConstantReport) -> ChainReport:
     """The chain check on four reports computed at ``verify_chain``'s defaults."""
     vals = [float(box.value), float(car.value), float(her.value), float(emb.value)]
     names = ["Box", "Carleson", "HereditaryCarleson", "CarlesonEmbedding"]
     violations = []
     for i in range(3):
-        if not _chain_leq(vals[i], vals[i + 1], slack):
+        if not _chain_leq(vals[i], vals[i + 1]):
             violations.append(f"{names[i]}={vals[i]} > {names[i+1]}={vals[i+1]}")
 
     def ratio(a, b):

@@ -241,7 +241,7 @@ class CornerFamily:
         arcs = [(j, m_cnt) for j in range(m_cnt)] + [
             (m_cnt + i, j) for i, (m, k) in enumerate(counts, 1) for j in range(m - 1, m + k)]
         value, _, _ = dinkelbach_max_ratio(np.array(numer, dtype=object), np.array(denom, dtype=object),
-                                           tuple(np.array(arcs).T), tol=0)
+                                           tuple(np.array(arcs).T))
         return value
 
     # -- sampling ------------------------------------------------------------
@@ -482,18 +482,6 @@ def paraproduct_weight(topo: BiTreeTopology, beta: np.ndarray) -> WeightFunction
     wv = topo.zeros()
     wv[1:, 1:] = (beta[1:, 1:] / area[1:, 1:]) ** 2
     return WeightFunction.general(topo, wv)
-
-
-def weight_to_coefficients(topo: BiTreeTopology, w: WeightFunction) -> np.ndarray:
-    """Inverse view: beta = area * sqrt(w)."""
-    area = rectangle_area(topo)
-    return area * np.sqrt(np.asarray(w.values, dtype=np.float64))
-
-
-def lebesgue_mass(topo: BiTreeTopology) -> MassFunction:
-    return MassFunction.uniform_boundary(
-        topo, 2.0 ** -(topo.tree_x.depth + topo.tree_y.depth)
-    )
 
 
 def structured_potential(family: CornerFamily, node, pieces=None, include_atom: bool = True) -> float:

@@ -13,15 +13,15 @@ from .trees import BiTreeTopology, build_bitree
 
 MASS_KINDS = ("boundary", "boundary_atoms", "all_nodes")
 WEIGHT_KINDS = ("product", "general", "hooked", "upset_indicator")
+MASS_DENSITY = 0.7  # share of the nodes a "boundary" or "all_nodes" mass charges
 
 
-def random_mass(topo: BiTreeTopology, rng: np.random.Generator, kind: str = "boundary",
-                density: float = 0.7) -> MassFunction:
+def random_mass(topo: BiTreeTopology, rng: np.random.Generator, kind: str = "boundary") -> MassFunction:
     v = topo.zeros()
     lx, ly = topo.tree_x.leaf_start, topo.tree_y.leaf_start
     if kind == "boundary":
         shape = (topo.tree_x.size - lx, topo.tree_y.size - ly)
-        v[lx:, ly:] = rng.uniform(size=shape) * (rng.random(shape) < density)
+        v[lx:, ly:] = rng.uniform(size=shape) * (rng.random(shape) < MASS_DENSITY)
     elif kind == "boundary_atoms":
         count = int(rng.integers(1, max(2, topo.boundary_count // 2 + 1)))
         for _ in range(count):
@@ -29,7 +29,7 @@ def random_mass(topo: BiTreeTopology, rng: np.random.Generator, kind: str = "bou
             v[node] += rng.uniform(0.1, 1.0)
     elif kind == "all_nodes":
         shape = (topo.tree_x.size - 1, topo.tree_y.size - 1)
-        v[1:, 1:] = rng.uniform(size=shape) * (rng.random(shape) < density)
+        v[1:, 1:] = rng.uniform(size=shape) * (rng.random(shape) < MASS_DENSITY)
     else:
         raise ValueError(f"unknown mass kind {kind!r}")
     return MassFunction(topo, v)

@@ -126,34 +126,6 @@ class MajorantResult:
     extras: dict = field(default_factory=dict)
 
 
-def first_ancestor_leq(tree: TreeTopology, values: np.ndarray, node: int, threshold) -> int | None:
-    """Walking up from node, the first ancestor with values <= threshold."""
-    i = node
-    while i >= 1:
-        if values[i] <= threshold:
-            return i
-        i >>= 1
-    return None
-
-
-def y_telescope_floor(topo: BiTreeTopology, iwm: np.ndarray, node: tuple[int, int], lam: float) -> float:
-    """iwm(node) minus its value at the first y-ancestor below lam/2.
-
-    This is the telescoping quantity that the slicewise majorant's weighted
-    potential dominates (up to the factor 1/2 - delta/lam) at every node
-    where iwm <= 2*lam.
-    """
-    ix, iy = node
-    sub = 0.0
-    j = iy
-    while j >= 1:
-        if iwm[ix, j] <= lam / 2:
-            sub = iwm[ix, j]
-            break
-        j >>= 1
-    return float(iwm[node] - sub)
-
-
 def majorant_tree(
     g: np.ndarray,
     f: np.ndarray,

@@ -8,7 +8,13 @@ Carleson (cover edges above the mass support, 3.6k nodes at depth (5,5)),
 hereditary (Goldberg's 1984 network, a priced arc per pair of support points)
 and the up-set family's exact Carleson value (base rectangles, corner atom and
 containment intervals) through ``dinkelbach_max_ratio``; sparse selection in
-one closure, whose arc flows are the packing.
+one closure, whose value is the unmet demand and whose arc flows are the
+packing.
+
+A Dinkelbach round settles on its own min-cut set S: when S is empty, or
+when S's ratio does not exceed the current one.  Both tests read S alone,
+never the closure's value ``pos_total - flow``, a difference of two
+float sums in different orders, so the loop needs no tolerance.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ ARC_SLICE = 1 << 16  # arcs converted to Python objects at a time
 
 
 class SolverError(RuntimeError):
-    """Iteration cap exceeded; should not happen on finite inputs."""
+    """Round cap exceeded, or a nonempty closure without mass (bad input)."""
 
 
 @dataclass
@@ -142,37 +148,40 @@ def max_weight_closure(weights, arcs, costs=None):
     return pos_total - flow, members, net.cap[first + 1 :: 2]
 
 
-def dinkelbach_max_ratio(numer, denom, arcs, costs=None, tol=0.0):
+def dinkelbach_max_ratio(numer, denom, arcs, costs=None):
     """Maximize N(S) / sum(denom[S]) over nonempty feasible S with positive
     denominator, by Dinkelbach iteration on ``max_weight_closure`` (whose
     ``arcs`` and ``costs`` these are); N(S) is sum(numer[S]) minus the
     priced arcs leaving S.  numer, denom and costs >= 0; assumes every
-    feasible S with positive N(S) has positive denominator.  Set sums run in
-    index order.  Returns (ratio, members as a bool array, iterations).
+    nonempty feasible S has positive denominator.  Set sums run in index
+    order.  Returns (ratio, members as a bool array, iterations).
+
+    A round at ratio lam settles when the minimum cut's source side S is
+    empty or its ratio is <= lam.  In exact arithmetic S has a positive
+    surplus N(S) - lam * den(S) exactly when its ratio exceeds lam, and the
+    minimal maximum closure is empty exactly when no set has one, so this is
+    the rule "stop at zero surplus" with no tolerance to pick.
     """
     numer, denom = np.asarray(numer), np.asarray(denom)
     n = len(numer)
     if n == 0:
         return 0, np.zeros(0, dtype=bool), 0
     best = np.ones(n, dtype=bool)
-    num_full = sum(numer)
     den_full = sum(denom)
     if den_full == 0:
         return 0, best, 0
-    lam = quotient(num_full, den_full)
+    lam = quotient(sum(numer), den_full)
     u, v = arcs
     for k in range(1, MAX_ROUNDS + 1):
-        surplus, members, _ = max_weight_closure(numer - lam * denom, arcs, costs)
-        scale = num_full + lam * den_full
-        if surplus <= tol * scale:
+        _, members, _ = max_weight_closure(numer - lam * denom, arcs, costs)
+        if not members.any():
             return lam, best, k
         num_s = sum(numer[members])
         if costs is not None:
             num_s = num_s - sum(costs[members[u] & ~members[v]])
         den_s = sum(denom[members])
         if den_s == 0:
-            # cannot happen for energy/mass closures; guard against bad input
-            raise SolverError("closure with positive surplus has zero denominator")
+            raise SolverError("a nonempty closure has zero denominator")
         new_lam = quotient(num_s, den_s)
         if new_lam <= lam:
             return lam, best, k

@@ -13,6 +13,7 @@ from .operators import MassFunction, WeightFunction, hardy_adjoint, is_exact, qu
 from .trees import BiTreeTopology, ancestor_sweep, bitree_sweep, down_closure, heap_lca
 
 FEAS_TOL = 1e-9  # float packing counts as feasible within this share of the demand
+PROBE_TOL = 1e-9  # relative slack of the embedding estimate below the maximal ratio
 
 
 def averages(mu: MassFunction, psi: np.ndarray) -> np.ndarray:
@@ -105,7 +106,6 @@ def maximal_equivalence_probe(
     sample_count: int = 50,
     seed: int = 0,
     certify_carleson: bool = False,
-    tol: float = 1e-9,
 ) -> ProbeReport:
     """Sampled two-sided comparison of the extremal-weight embedding constants
     against the squared maximal-operator norm."""
@@ -126,7 +126,7 @@ def maximal_equivalence_probe(
                 certified = False
         # the embedding constant dominates the Rayleigh ratio at psi, which
         # the claim identity makes equal to the maximal ratio
-        if left < right - tol * max(1.0, right):
+        if left < right - PROBE_TOL * max(1.0, right):
             raise AssertionError(f"embedding estimate {left} below maximal ratio {right}")
         # the sub-level argument runs the other way: with a unit-Carleson
         # weight the embedding test at the optimizer is dominated by the

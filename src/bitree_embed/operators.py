@@ -6,7 +6,9 @@ scale, object-dtype arrays holding ints or ``fractions.Fraction``.  The
 number kind is decided here and nowhere else: ``quotient`` divides in the
 arithmetic of its operands (exact for ints and Fractions, so an int-valued
 grid never falls into int/int true division), and ``is_exact`` tells a
-caller whether to ask for a zero tolerance.
+caller whether to ask for a zero tolerance; its one caller is
+``maximal.sparse_selection``'s feasibility slack, the ratio engine needing
+none.
 
 The sums run on the in-place per-axis sweep kernel of ``trees``
 (``ancestor_sweep``/``descendant_sweep`` with ``np.add``).  ``tree_*_sum``
@@ -19,7 +21,7 @@ additions in the same order either way, so results are bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Any
@@ -248,12 +250,11 @@ def _outer_sum(topo: BiTreeTopology, terms, dtype=np.float64) -> np.ndarray:
 
 @dataclass
 class PotentialField:
-    """Values of a potential together with the data that produced it."""
+    """Values of a potential, with the level ``delta`` it was truncated at."""
 
     topo: BiTreeTopology
     values: np.ndarray
     delta: Any = None
-    provenance: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +265,7 @@ def potential(mu: MassFunction, w: WeightFunction) -> PotentialField:
     """The weighted potential: ancestor-sum of w times descendant-sum of mu."""
     topo = mu.topo
     vals = hardy_forward(topo, w.values * hardy_adjoint(topo, mu.values))
-    return PotentialField(topo, vals, provenance={"kind": "potential"})
+    return PotentialField(topo, vals)
 
 
 def truncated_potential(mu: MassFunction, w: WeightFunction, delta) -> tuple[UpSet, PotentialField]:
@@ -277,7 +278,7 @@ def truncated_potential(mu: MassFunction, w: WeightFunction, delta) -> tuple[UpS
     if not is_up_mask(topo, mask):
         raise AssertionError("potential sub-level set failed the up-set check")
     vals = hardy_forward(topo, w.values * mask * hardy_adjoint(topo, mu.values))
-    return UpSet(mask), PotentialField(topo, vals, delta=delta, provenance={"kind": "truncated"})
+    return UpSet(mask), PotentialField(topo, vals, delta=delta)
 
 
 def energy_density(mu: MassFunction, w: WeightFunction) -> np.ndarray:

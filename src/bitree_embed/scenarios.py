@@ -213,7 +213,7 @@ def _task_box(inst, params):
 
 
 def _task_carleson(inst, params):
-    return _report(inst, carleson_constant, tol=params.get("tol", 1e-12)).to_json()
+    return _report(inst, carleson_constant).to_json()
 
 
 def _task_hereditary(inst, params):
@@ -227,9 +227,8 @@ def _task_embedding(inst, params):
 def _task_chain(inst, params):
     # the reports verify_chain computes, at its default tolerances
     return chain_of(
-        _report(inst, box_constant), _report(inst, carleson_constant, tol=1e-12),
+        _report(inst, box_constant), _report(inst, carleson_constant),
         _report(inst, hereditary_constant), _report(inst, embedding_constant, tol=1e-10),
-        slack=params.get("slack", 1e-9),
     ).to_json()
 
 
@@ -369,14 +368,9 @@ def _cell_chain_ratios(n: int, seed: int) -> list:
     per_cell = 20
     for i in range(per_cell):
         s = seed * 100_000 + n * 1000 + i
-        rng = np.random.default_rng(s)
-        topo = build_bitree(n, n)
-        from .instances import random_mass, random_weight
-
-        mu = random_mass(topo, rng, "boundary_atoms")
+        _, mu, w = random_instance(n, n, s, "boundary_atoms", "product")
         if float(mu.total_mass) == 0:
             continue
-        w = random_weight(topo, rng, "product")
         rep = verify_chain(mu, w)
         for key in best:
             r = rep.ratios.get(key)

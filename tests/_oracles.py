@@ -3,6 +3,7 @@
 Everything here recomputes quantities definitionally (explicit loops over
 node pairs, explicit subset filtering, dense eigensolves) so the fast paths
 in the package are checked against a genuinely different computation.
+The last section holds small helpers that only the tests call.
 """
 
 from __future__ import annotations
@@ -12,10 +13,12 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from bitree_embed.counterexamples import rectangle_area
 from bitree_embed.maxflow import FlowNetwork, dinkelbach_max_ratio
 from bitree_embed.maximal import FEAS_TOL
 from bitree_embed.operators import (
     MassFunction,
+    WeightFunction,
     energy_density,
     hardy_adjoint,
     hardy_forward,
@@ -25,6 +28,7 @@ from bitree_embed.operators import (
 from bitree_embed.trees import (
     BiTreeTopology,
     SizeError,
+    TreeTopology,
     down_closure,
     up_closure,
 )
@@ -276,10 +280,8 @@ def transitive_carleson(mu, w):
             if i != j:
                 arcs.append((i, j))
     u, v = np.array(arcs, dtype=np.int64).reshape(-1, 2).T
-    exact = mu.values.dtype == object or w.values.dtype == object
     value, members, _ = dinkelbach_max_ratio(
-        [e[n] for n in nodes], [mu.values[n] for n in nodes], (u, v),
-        tol=0 if exact else 1e-12,
+        [e[n] for n in nodes], [mu.values[n] for n in nodes], (u, v)
     )
     sel = topo.zeros(dtype=bool)
     for node, member in zip(nodes, members):
@@ -304,13 +306,11 @@ def pair_item_hereditary(mu, w):
     kernel = loop_lca_kernel(topo, supp, w)
     iu, ju = np.triu_indices(n)
     pair_numer = np.where(iu == ju, 1, 2) * kernel[iu, ju] * masses[iu] * masses[ju]
-    exact = mu.values.dtype == object or w.values.dtype == object
     # each pair item n + k precedes its two points iu[k] and ju[k]
     items = n + np.arange(len(iu))
     value, members, iters = dinkelbach_max_ratio(
         [0] * n + pair_numer.tolist(), masses.tolist() + [0] * len(iu),
         (np.repeat(items, 2), np.stack([iu, ju], axis=1).ravel()),
-        tol=0 if exact else 1e-12,
     )
     mask = topo.zeros(dtype=bool)
     for i in range(n):
@@ -398,3 +398,55 @@ def dense_embedding_eig(mu, w):
     m = np.array([mu.values[s] for s in supp])
     b = np.sqrt(m)[:, None] * k * np.sqrt(m)[None, :]
     return float(np.linalg.eigvalsh(b)[-1])
+
+
+# ---------------------------------------------------------------------------
+# helpers that only the tests call
+# ---------------------------------------------------------------------------
+
+def embedding_quadratic_form(mu: MassFunction, w: WeightFunction, psi: np.ndarray):
+    """Rayleigh-type ratio tested by a given function psi on supp mu."""
+    topo = mu.topo
+    num = (w.values * hardy_adjoint(topo, psi * mu.values) ** 2).sum()
+    den = (psi * psi * mu.values).sum()
+    return num, den
+
+
+def weight_to_coefficients(topo: BiTreeTopology, w: WeightFunction) -> np.ndarray:
+    """Inverse view: beta = area * sqrt(w)."""
+    area = rectangle_area(topo)
+    return area * np.sqrt(np.asarray(w.values, dtype=np.float64))
+
+
+def lebesgue_mass(topo: BiTreeTopology) -> MassFunction:
+    return MassFunction.uniform_boundary(
+        topo, 2.0 ** -(topo.tree_x.depth + topo.tree_y.depth)
+    )
+
+
+def first_ancestor_leq(tree: TreeTopology, values: np.ndarray, node: int, threshold) -> int | None:
+    """Walking up from node, the first ancestor with values <= threshold."""
+    i = node
+    while i >= 1:
+        if values[i] <= threshold:
+            return i
+        i >>= 1
+    return None
+
+
+def y_telescope_floor(topo: BiTreeTopology, iwm: np.ndarray, node: tuple[int, int], lam: float) -> float:
+    """iwm(node) minus its value at the first y-ancestor below lam/2.
+
+    This is the telescoping quantity that the slicewise majorant's weighted
+    potential dominates (up to the factor 1/2 - delta/lam) at every node
+    where iwm <= 2*lam.
+    """
+    ix, iy = node
+    sub = 0.0
+    j = iy
+    while j >= 1:
+        if iwm[ix, j] <= lam / 2:
+            sub = iwm[ix, j]
+            break
+        j >>= 1
+    return float(iwm[node] - sub)

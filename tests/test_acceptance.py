@@ -37,7 +37,7 @@ from bitree_embed.instances import (
     random_weight,
     tree_majorant_data,
 )
-from bitree_embed.majorization import balance, first_ancestor_leq, majorant_bitree, majorant_tree
+from bitree_embed.majorization import balance, majorant_bitree, majorant_tree
 from bitree_embed.maximal import extremal_weight, maximal_equivalence_probe, sparse_selection
 from bitree_embed.operators import (
     MassFunction,
@@ -49,7 +49,7 @@ from bitree_embed.operators import (
     v_good,
 )
 from bitree_embed.trees import build_bitree, build_tree, down_closure
-from _oracles import brute_hereditary, dense_embedding_eig, enumeration_carleson
+from _oracles import brute_hereditary, dense_embedding_eig, enumeration_carleson, first_ancestor_leq
 
 C1_GROWTH_FLOOR = 1.0
 C2_SUPPORT_CEILING = 4.0

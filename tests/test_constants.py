@@ -10,7 +10,6 @@ from bitree_embed.constants import (
     box_constant,
     carleson_constant,
     embedding_constant,
-    embedding_quadratic_form,
     hereditary_constant,
     lca_kernel,
     sawyer_conditions,
@@ -42,6 +41,7 @@ from _oracles import (
     brute_carleson,
     brute_hereditary,
     dense_embedding_eig,
+    embedding_quadratic_form,
     enumeration_carleson,
     kernel_hereditary,
     loop_lca_kernel,
@@ -540,6 +540,29 @@ def test_dinkelbach_terminates_with_small_surplus():
     _, mu, w = small_oracle_instance(4)
     rep = carleson_constant(mu, w)
     assert rep.diagnostics["iterations"] <= 50
+
+
+def test_dinkelbach_settles_on_an_empty_cut(monkeypatch):
+    """A closure value left positive by rounding, with an empty min-cut set,
+    settles the first round at the full set's ratio."""
+    calls = []
+
+    def rounding(weights, arcs, costs=None):
+        calls.append(len(weights))
+        return 1e-9, np.zeros(len(weights), dtype=bool), []
+
+    monkeypatch.setattr(maxflow, "max_weight_closure", rounding)
+    numer, denom = np.array([3.0, 1.0, 2.0]), np.array([1.0, 2.0, 1.0])
+    lam, members, iters = maxflow.dinkelbach_max_ratio(numer, denom, (np.array([0]), np.array([1])))
+    assert (lam, iters, calls) == (1.5, 1, [3])
+    assert members.all()
+
+
+def test_dinkelbach_rejects_a_nonempty_cut_without_mass():
+    # item 1 has numerator 1 and no mass, so it beats every ratio alone
+    with pytest.raises(maxflow.SolverError, match="nonempty closure has zero denominator"):
+        maxflow.dinkelbach_max_ratio(np.array([1.0, 1.0]), np.array([1.0, 0.0]),
+                                     (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)))
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,11 @@ from bitree_embed.counterexamples import (
     gen_simple_car_not_rec,
     gen_sum_of_products,
     gen_upset_car_not_rec,
-    lebesgue_mass,
     lift_carleson_family,
     paraproduct_weight,
     rectangle_area,
     staircase_exponents,
     structured_potential,
-    weight_to_coefficients,
 )
 from bitree_embed.operators import (
     MassFunction,
@@ -30,7 +28,12 @@ from bitree_embed.operators import (
     potential,
 )
 from bitree_embed.trees import build_bitree, is_up_mask, up_closure
-from _oracles import enumeration_carleson, enumeration_upset_carleson
+from _oracles import (
+    enumeration_carleson,
+    enumeration_upset_carleson,
+    lebesgue_mass,
+    weight_to_coefficients,
+)
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,10 @@ from bitree_embed.majorization import (
     cEcE_ratio,
     check_l1linf,
     check_positive_kernel,
-    first_ancestor_leq,
     is_slice_superadditive,
     is_superadditive,
     majorant_bitree,
     majorant_tree,
-    y_telescope_floor,
 )
 from bitree_embed.operators import (
     MassFunction,
@@ -29,6 +27,7 @@ from bitree_embed.operators import (
     v_good,
 )
 from bitree_embed.trees import build_bitree, build_tree, is_down_mask
+from _oracles import first_ancestor_leq, y_telescope_floor
 
 
 # ---------------------------------------------------------------------------
